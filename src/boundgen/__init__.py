@@ -29,7 +29,7 @@ from .ideals import (
     pi_support,
     scalar_obstruction_ideal,
 )
-from .matrices import ElemSpec, MatrixSL, SigmaSpec, elem, elementary, identity, sigma
+from .matrices import ElemSpec, MatrixSL, elem, elementary, identity, sigma
 from .rings import IdealGen, RingSpec
 from .witness import LowerBoundWitness, build_lower_witness, class_size_lower, delta_upper
 from .words import ConjWord, GenSet, eval_word, verify_word
@@ -51,7 +51,6 @@ __all__ = [
     "MatrixSL",
     "PrimeSupport",
     "RingSpec",
-    "SigmaSpec",
     "backtrack_word",
     "ball_bfs",
     "build_lower_witness",

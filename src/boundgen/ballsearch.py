@@ -2,14 +2,18 @@
 matrix groups over Z/l or F_p.
 
 Group elements are packed into positional integer keys (entry[idx] * q^idx,
-row-major), which index a dense norm array; frontiers move through numpy in
-batches, so the million-element groups stay within a few seconds while the
-results are bit-identical to a scalar reference.  The BFS is level
-synchronous: norms depend only on the level sets, never on visit order.
+row-major), which index a dense uint16 level array.  One level-synchronous
+frontier routine serves both group enumeration (letters: the generators and
+their inverses) and ball search (letters: the class alphabet); frontiers
+move through numpy in batches, so the million-element groups stay within a
+few seconds.  The BFS is level synchronous, so levels never depend on visit
+order; tests/test_ballsearch_reference.py checks keys, growth, norms and
+classes against a slow pure-Python BFS on small groups.
 
 The edge alphabet of a ball search is the full conjugacy-class closure of
-S and its inverses, computed first by an orbit walk under the group's own
-generators, so word norms match the definition over conjugates exactly.
+S and its inverses.  It comes from the same conjugation-orbit walk under
+the group's own generators that partitions the group into classes, so word
+norms match the definition over conjugates exactly.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimMismatch, RingMismatch
-from .matrices import MatrixSL, elementary, identity
+from .errors import BudgetExceeded, DimMismatch, RingMismatch, SelfCheckFailed
+from .matrices import MatrixSL, elementary
 from .rings import RingSpec, factorize, is_unit
 from .witness import sl_order
 from .words import ConjWord, GenSet, Letter
@@ -28,26 +32,24 @@ DEFAULT_BUDGET = 2 ** 24
 DENSE_KEY_LIMIT = 2 ** 27
 _SENT = np.uint16(0xFFFF)
 
-Mat = tuple  # tuple-of-tuples integer matrix inside this module
-
 
 # ---------------------------------------------------------------------------
 # tuple-matrix helpers
 # ---------------------------------------------------------------------------
 
 
-def _t_mul(a: Mat, b: Mat, q: int, n: int) -> Mat:
+def _t_mul(a: tuple, b: tuple, q: int, n: int) -> tuple:
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) % q for j in range(n))
         for i in range(n)
     )
 
 
-def _t_identity(n: int) -> Mat:
+def _t_identity(n: int) -> tuple:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _t_key(m: Mat, q: int) -> int:
+def _t_key(m: tuple, q: int) -> int:
     key = 0
     mult = 1
     for row in m:
@@ -57,7 +59,7 @@ def _t_key(m: Mat, q: int) -> int:
     return key
 
 
-def _t_inv(m: Mat, ring: RingSpec) -> Mat:
+def _t_inv(m: tuple, ring: RingSpec) -> tuple:
     return MatrixSL(len(m), ring, m).inv().entries
 
 
@@ -95,7 +97,7 @@ class FiniteGroupTable:
     n: int
     psl: bool
     keys: np.ndarray
-    gens: list[Mat]
+    gens: list[tuple]
     scalars: list[int]
 
     _powers: np.ndarray = field(repr=False, default=None)
@@ -141,7 +143,7 @@ class FiniteGroupTable:
             best = cand if best is None else np.minimum(best, cand)
         return best
 
-    def canonical(self, m: Mat) -> Mat:
+    def canonical(self, m: tuple) -> tuple:
         if not self.psl:
             return m
         q = self.ring.modulus
@@ -153,7 +155,7 @@ class FiniteGroupTable:
             key=lambda t: _t_key(t, q),
         )
 
-    def key_of(self, m: Mat) -> int:
+    def key_of(self, m: tuple) -> int:
         return _t_key(self.canonical(m), self.ring.modulus)
 
     def index_of_key(self, key: int) -> int:
@@ -211,7 +213,7 @@ def enumerate_group(
         ]
     else:
         gen_mats = list(gens)
-    gens_t: list[Mat] = []
+    gens_t: list[tuple] = []
     for g in gen_mats:
         if g.ring != ring or g.n != n:
             raise RingMismatch("generator ring/dimension mismatch")
@@ -221,38 +223,52 @@ def enumerate_group(
 
     scalars = _scalars(n, ring) if psl else [1]
     table = FiniteGroupTable(ring, n, psl, np.empty(0, dtype=np.int64), gens_t, scalars)
-
-    seen = np.zeros(table.key_space, dtype=bool)
-    start = np.array([table.identity_key], dtype=np.int64)
-    seen[start] = True
-    collected = [start]
-    frontier = start
-    total = 1
-    gen_arrays = [np.array(g, dtype=np.int64) for g in gens_t]
-    while frontier.size:
-        mats = table.decode(frontier)
-        parts = []
-        for g in gen_arrays:
-            keys = table.canonical_keys(mats @ g % q)
-            fresh = np.unique(keys[~seen[keys]])
-            if fresh.size:
-                seen[fresh] = True
-                parts.append(fresh)
-        frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        total += int(frontier.size)
-        if total > budget:
-            raise BudgetExceeded(f"group exceeds the element budget {budget}")
-        collected.append(frontier)
-    keys = np.sort(np.concatenate(collected))
-    table.keys = keys
+    levels, _ = _frontier_levels(table, gens_t, budget)
+    table.keys = np.flatnonzero(levels != _SENT)
     if full_group:
         expected = sl_order_mod(n, q)
         if psl:
             expected //= len(scalars)
-        assert table.order == expected, (
-            f"enumerated {table.order} elements, closed form gives {expected}"
-        )
+        if table.order != expected:
+            raise SelfCheckFailed(
+                f"enumerated {table.order} elements, closed form gives {expected}"
+            )
     return table
+
+
+def _frontier_levels(
+    table: FiniteGroupTable, letters: list[tuple], budget: int | None = None
+) -> tuple[np.ndarray, list[int]]:
+    """Level-synchronous BFS from the identity by right multiplication.
+
+    Returns the dense level array over the key space (_SENT where no word
+    in the letters reaches) and the cumulative element count per level.
+    BudgetExceeded once more than `budget` elements have been reached.
+    """
+    q = table.ring.modulus
+    levels = np.full(table.key_space, _SENT, dtype=np.uint16)
+    id_key = table.identity_key
+    levels[id_key] = 0
+    frontier = np.array([id_key], dtype=np.int64)
+    growth = [1]
+    letter_arrays = [np.array(a, dtype=np.int64) for a in letters]
+    level = 0
+    while frontier.size:
+        level += 1
+        mats = table.decode(frontier)
+        parts = []
+        for a in letter_arrays:
+            keys = table.canonical_keys(mats @ a % q)
+            fresh = np.unique(keys[levels[keys] == _SENT])
+            if fresh.size:
+                levels[fresh] = level
+                parts.append(fresh)
+        frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        if frontier.size:
+            growth.append(growth[-1] + int(frontier.size))
+            if budget is not None and growth[-1] > budget:
+                raise BudgetExceeded(f"group exceeds the element budget {budget}")
+    return levels, growth
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +280,10 @@ def enumerate_group(
 class AlphabetEntry:
     """One conjugate of a generator^{+-1}: matrix = conj * S[gen]^exp * conj^{-1}."""
 
-    mat: Mat
+    mat: tuple
     gen: int
     exp: int
-    conj: Mat
+    conj: tuple
 
 
 @dataclass
@@ -311,11 +327,7 @@ def class_closure(table: FiniteGroupTable, s: list[MatrixSL]) -> list[AlphabetEn
     Orbit walk under the table's own generators; the identity never enters
     the alphabet (it cannot move a BFS frontier).
     """
-    q = table.ring.modulus
-    n = table.n
-    ident = _t_identity(n)
-    id_key = table.key_of(ident)
-    gens_with_inv = [(g, _t_inv(g, table.ring)) for g in table.gens]
+    id_key = table.identity_key
     entries: dict[int, AlphabetEntry] = {}
     for gi, mat in enumerate(s):
         if mat.ring != table.ring or mat.n != table.n:
@@ -323,57 +335,49 @@ def class_closure(table: FiniteGroupTable, s: list[MatrixSL]) -> list[AlphabetEn
         if not table.contains(mat):
             raise KeyError("generator is not an element of the group table")
         for exp in (1, -1):
-            base = mat.entries if exp == 1 else mat.inv().entries
-            base = table.canonical(base)
-            start_key = _t_key(base, q)
-            if start_key == id_key:
+            base = table.canonical(mat.entries if exp == 1 else mat.inv().entries)
+            if table.key_of(base) == id_key:
                 continue
-            if start_key not in entries:
-                entries[start_key] = AlphabetEntry(base, gi, exp, ident)
-            queue = [(base, ident)]
-            local_seen = {start_key}
-            while queue:
-                cur, conj = queue.pop()
-                for g, ginv in gens_with_inv:
-                    new = table.canonical(_t_mul(_t_mul(g, cur, q, n), ginv, q, n))
-                    k = _t_key(new, q)
-                    if k in local_seen:
-                        continue
-                    local_seen.add(k)
-                    new_conj = _t_mul(g, conj, q, n)
-                    if k not in entries:
-                        entries[k] = AlphabetEntry(new, gi, exp, new_conj)
-                    queue.append((new, new_conj))
+            for k, new, conj in _conjugation_orbit(table, base):
+                if k not in entries:
+                    entries[k] = AlphabetEntry(new, gi, exp, conj)
     return [entries[k] for k in sorted(entries)]
+
+
+def _conjugation_orbit(table: FiniteGroupTable, start: tuple):
+    """Yield (key, matrix, conjugator) once for each conjugate of start.
+
+    start must be canonical and comes first, with the identity conjugator;
+    each later matrix equals conjugator * start * conjugator^{-1} up to the
+    table's canonical scalar.  Depth-first walk under the table's generators.
+    """
+    q = table.ring.modulus
+    n = table.n
+    gens_with_inv = [(g, _t_inv(g, table.ring)) for g in table.gens]
+    ident = _t_identity(n)
+    start_key = _t_key(start, q)
+    yield start_key, start, ident
+    stack = [(start, ident)]
+    seen = {start_key}
+    while stack:
+        cur, conj = stack.pop()
+        for g, ginv in gens_with_inv:
+            new = table.canonical(_t_mul(_t_mul(g, cur, q, n), ginv, q, n))
+            k = _t_key(new, q)
+            if k in seen:
+                continue
+            seen.add(k)
+            new_conj = _t_mul(g, conj, q, n)
+            yield k, new, new_conj
+            stack.append((new, new_conj))
 
 
 def ball_bfs(table: FiniteGroupTable, s) -> BallReport:
     """Exact word norms for the generating set s (GenSet or list of MatrixSL)."""
     mats = list(s.elements) if isinstance(s, GenSet) else list(s)
-    q = table.ring.modulus
     alphabet = class_closure(table, mats)
-    dense = np.full(table.key_space, _SENT, dtype=np.uint16)
-    id_key = table.identity_key
-    dense[id_key] = 0
-    frontier = np.array([id_key], dtype=np.int64)
-    growth = [1]
-    alpha_arrays = [np.array(e.mat, dtype=np.int64) for e in alphabet]
-    level = 0
-    while frontier.size:
-        level += 1
-        mats_arr = table.decode(frontier)
-        parts = []
-        for a in alpha_arrays:
-            keys = table.canonical_keys(mats_arr @ a % q)
-            fresh = np.unique(keys[dense[keys] == _SENT])
-            if fresh.size:
-                dense[fresh] = level
-                parts.append(fresh)
-        frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        if frontier.size:
-            growth.append(growth[-1] + int(frontier.size))
-    norms = dense[table.keys]
-    return BallReport(table, mats, norms, growth, alphabet, dense)
+    dense, growth = _frontier_levels(table, [e.mat for e in alphabet])
+    return BallReport(table, mats, dense[table.keys], growth, alphabet, dense)
 
 
 def backtrack_word(report: BallReport, target: MatrixSL) -> ConjWord:
@@ -425,29 +429,14 @@ def conjugacy_classes(table: FiniteGroupTable, limit: int = 10 ** 5) -> list[Con
     """Partition of the group into conjugacy classes (orbit walk per class)."""
     if table.order > limit:
         raise BudgetExceeded(f"class partition of {table.order} elements refused")
-    q = table.ring.modulus
-    n = table.n
-    gens_with_inv = [(g, _t_inv(g, table.ring)) for g in table.gens]
     assigned: set[int] = set()
     out: list[ConjClass] = []
-    for key in table.keys.tolist():
+    for index, key in enumerate(table.keys.tolist()):
         if key in assigned:
             continue
-        rep = tuple(
-            tuple(int(v) for v in row) for row in table.decode(np.array([key]))[0]
-        )
-        members = [key]
-        assigned.add(key)
-        queue = [rep]
-        while queue:
-            cur = queue.pop()
-            for g, ginv in gens_with_inv:
-                new = table.canonical(_t_mul(_t_mul(g, cur, q, n), ginv, q, n))
-                k = _t_key(new, q)
-                if k not in assigned:
-                    assigned.add(k)
-                    members.append(k)
-                    queue.append(new)
+        rep = table.matrix_at(index).entries
+        members = [k for k, _, _ in _conjugation_orbit(table, rep)]
+        assigned.update(members)
         out.append(ConjClass(key, sorted(members)))
     return out
 
@@ -498,18 +487,21 @@ def delta_exhaustive(
     best: int | None = None
     witness: list[MatrixSL] = []
     checked = 0
+    every_class_generates = True
     for cls in classes:
         if cls.rep_key == id_key:
             continue
         mat = table.matrix_at(table.index_of_key(cls.rep_key))
         rpt = ball_bfs(table, [mat])
         checked += 1
+        every_class_generates &= rpt.normally_generates
         if rpt.normally_generates and (best is None or rpt.diameter > best):
             best = rpt.diameter
             witness = [mat]
     if k == 1:
         return DeltaReport(1, best is not None, best, witness, False, checked)
-    if best is not None and is_simple(table):
+    # the group is simple: every nontrivial class rep normally generates
+    if best is not None and every_class_generates:
         return DeltaReport(k or table.order, True, best, witness, True, checked)
 
     nontrivial = [key for key in table.keys.tolist() if key != id_key]

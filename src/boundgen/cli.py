@@ -2,12 +2,13 @@
 
 One binary, subcommand verbs, JSON reports on stdout (CSV for growth
 tables).  Exit codes: 0 success, 1 usage or input errors, 2 a certificate
-that fails to replay or a violated inequality.  Reports embed the toolkit
-version, the ring, the seed of any randomized suite and the bound formulas
-used, so a report is a reproducibility artifact on its own.
+that fails to replay, a violated inequality or a failed internal self-check.
+Reports embed the toolkit version, the ring, the seed of any randomized
+suite and the bound formulas used, so a report is a reproducibility
+artifact on its own.
 
-All verbs are deterministic for a fixed input and seed; --threads only
-sizes the worker pool of the search core and never changes a report byte.
+All verbs are deterministic for a fixed input and seed: the same command
+prints the same bytes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from . import __version__
 from .ballsearch import DEFAULT_BUDGET, ball_bfs, delta_exhaustive, enumerate_group
 from .checks import run_identity_suites
-from .errors import BoundgenError, VerificationFailed
+from .errors import BoundgenError, SelfCheckFailed, VerificationFailed
 from .factorize import factor_euclid, factor_semilocal
 from .hessenberg import to_hessenberg
 from .ideals import decide_normal_generation, pi_support
@@ -55,7 +56,6 @@ def _header(args, **extra) -> dict:
     head = {
         "toolkit": f"boundgen {__version__}",
         "verb": args.verb,
-        "threads": getattr(args, "threads", 1),
     }
     if getattr(args, "seed", None) is not None:
         head["seed"] = args.seed
@@ -274,7 +274,7 @@ def cmd_check_inequalities(args) -> int:
         for r in rows
     ]
     all_hold = all(r.holds for r in rows)
-    _emit(_header(args, suite=args.suite, checks=payload, all_hold=all_hold), args)
+    _emit(_header(args, checks=payload, all_hold=all_hold), args)
     return 0 if all_hold else 2
 
 
@@ -283,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="boundgen",
         description="exact word-norm certificates and ball search in SL(n, R)",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker pool size")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("pia", help="prime support of a matrix")
@@ -363,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_identities)
 
     p = sub.add_parser("check-inequalities", help="finite-group inequality suite")
-    p.add_argument("--suite", default="small")
     p.add_argument("--out")
     p.set_defaults(func=cmd_check_inequalities)
 
@@ -380,6 +378,9 @@ def run(argv=None) -> int:
         return args.func(args)
     except VerificationFailed as exc:
         print(f"verification failed: {exc} (step {exc.step})", file=sys.stderr)
+        return 2
+    except SelfCheckFailed as exc:
+        print(f"self-check failed: {exc}", file=sys.stderr)
         return 2
     except (BoundgenError, FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -113,3 +113,9 @@ class DegenerateGroup(BoundgenError):
 
 class BudgetExceeded(BoundgenError):
     """Group enumeration would exceed the configured element budget."""
+
+
+# --- internal postconditions ---
+
+class SelfCheckFailed(BoundgenError):
+    """A result failed the toolkit's own postcondition check (an internal defect)."""

@@ -172,32 +172,19 @@ def check_norm_axioms(table: FiniteGroupTable, s: list[MatrixSL]) -> CheckRow:
     rpt = ball_bfs(table, s)
     if table.order > 600:
         raise ValueError("exhaustive axiom check is for small groups")
-    dense = rpt._dense
-    q = table.ring.modulus
-    n = table.n
-    mats = [
-        tuple(tuple(int(v) for v in row) for row in m)
-        for m in table.decode(table.keys)
-    ]
-    from .ballsearch import _t_inv, _t_key, _t_mul
-
-    def norm_of(m):
-        v = dense[_t_key(table.canonical(m), q)]
-        return None if v == np.uint16(0xFFFF) else int(v)
-
+    mats = [table.matrix_at(i) for i in range(table.order)]
     ok = True
     for g in mats:
-        ng = norm_of(g)
+        ng = rpt.norm_of(g)
         if ng is None:
             continue
-        if norm_of(_t_inv(g, table.ring)) != ng:
+        if rpt.norm_of(g.inv()) != ng:
             ok = False
         for h in mats:
-            nh = norm_of(h)
-            if nh is not None and norm_of(_t_mul(g, h, q, n)) > ng + nh:
+            nh = rpt.norm_of(h)
+            if nh is not None and rpt.norm_of(g * h) > ng + nh:
                 ok = False
-            hinv = _t_inv(h, table.ring)
-            if norm_of(_t_mul(_t_mul(h, g, q, n), hinv, q, n)) != ng:
+            if rpt.norm_of(h * g * h.inv()) != ng:
                 ok = False
     return CheckRow("norm axioms (inverse, subadditive, conjugation)", "axioms", "==", "hold", ok)
 
@@ -207,26 +194,16 @@ def check_ball_multiplicativity(table: FiniteGroupTable, s: list[MatrixSL]) -> C
     rpt = ball_bfs(table, s)
     if table.order > 100:
         raise ValueError("set-wise ball products are for tiny groups")
-    q = table.ring.modulus
-    n = table.n
-    from .ballsearch import _t_key, _t_mul
-
     levels = int(rpt.norms.max())
-    balls = []
-    for d in range(levels + 1):
-        keys = table.keys[rpt.norms <= d]
-        balls.append(
-            [tuple(tuple(int(v) for v in row) for row in m) for m in table.decode(keys)]
-        )
+    balls = [
+        [table.matrix_at(i) for i in np.flatnonzero(rpt.norms <= d)]
+        for d in range(levels + 1)
+    ]
     ok = True
     for a in range(levels + 1):
         for b in range(levels + 1 - a):
-            prod = {
-                _t_key(table.canonical(_t_mul(x, y, q, n)), q)
-                for x in balls[a]
-                for y in balls[b]
-            }
-            target = {_t_key(m, q) for m in balls[min(a + b, levels)]}
+            prod = {table.key_of((x * y).entries) for x in balls[a] for y in balls[b]}
+            target = {table.key_of(m.entries) for m in balls[min(a + b, levels)]}
             if prod != target:
                 ok = False
     return CheckRow("ball products: B(a)B(b) == B(a+b)", "products", "==", "balls", ok)

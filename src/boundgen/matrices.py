@@ -190,14 +190,6 @@ class ElemSpec:
     x: int
 
 
-@dataclass(frozen=True)
-class SigmaSpec:
-    """The signed transposition sigma_{i,j}; satisfies sigma_{i,j}^{-1} = sigma_{j,i}."""
-
-    i: int
-    j: int
-
-
 def identity(n: int, ring: RingSpec) -> MatrixSL:
     return MatrixSL(
         n, ring, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
@@ -220,7 +212,7 @@ def elementary(i: int, j: int, x: int, n: int, ring: RingSpec) -> MatrixSL:
 
 
 def sigma(i: int, j: int, n: int, ring: RingSpec) -> MatrixSL:
-    """Realize sigma_{i,j} as a matrix (use sigma(spec.i, spec.j, ...) for a SigmaSpec)."""
+    """The signed transposition sigma_{i,j}; sigma_{i,j}^{-1} = sigma_{j,i}."""
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise BadIndex(f"sigma index ({i},{j}) invalid for n={n}")
     rows = [[0] * n for _ in range(n)]
@@ -230,19 +222,6 @@ def sigma(i: int, j: int, n: int, ring: RingSpec) -> MatrixSL:
         if k not in (i - 1, j - 1):
             rows[k][k] = 1
     return MatrixSL(n, ring, tuple(tuple(r) for r in rows))
-
-
-def mul(a: MatrixSL, b: MatrixSL) -> MatrixSL:
-    return a * b
-
-
-def inv(a: MatrixSL) -> MatrixSL:
-    return a.inv()
-
-
-def conj(g: MatrixSL, h: MatrixSL) -> MatrixSL:
-    """h * g * h^{-1}."""
-    return g.conj_by(h)
 
 
 def commutator(a: MatrixSL, b: MatrixSL) -> MatrixSL:

@@ -39,6 +39,3 @@ class SplitMix64:
             v = self.next64()
             if v < limit:
                 return lo + (v % span)
-
-    def choice(self, seq):
-        return seq[self.randint(0, len(seq) - 1)]

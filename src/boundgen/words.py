@@ -93,15 +93,19 @@ class ConjWord:
         return ConjWord((Letter(gen, exp, conj),))
 
 
-def eval_word(w: ConjWord, s: GenSet) -> MatrixSL:
-    """Exact product of the letters; the empty word evaluates to the identity."""
+def _replay(w: ConjWord, s: GenSet, reject) -> MatrixSL:
+    """Exact product of the letters; the empty word evaluates to the identity.
+
+    The first invalid letter raises reject(step, letter, bad_index), where
+    bad_index tells a generator index out of range from a conjugator over
+    the wrong ring or dimension.
+    """
     out = identity(s.n, s.ring)
     inverses: dict[int, MatrixSL] = {}
-    for letter in w.letters:
-        if not 0 <= letter.gen < len(s):
-            raise IndexOutOfRange(f"generator index {letter.gen} out of range")
-        if letter.conj.ring != s.ring or letter.conj.n != s.n:
-            raise RingMismatch("conjugator ring/dimension mismatch")
+    for step, letter in enumerate(w.letters):
+        bad_index = not 0 <= letter.gen < len(s)
+        if bad_index or letter.conj.ring != s.ring or letter.conj.n != s.n:
+            raise reject(step, letter, bad_index)
         g = s[letter.gen]
         if letter.exp == -1:
             if letter.gen not in inverses:
@@ -109,6 +113,22 @@ def eval_word(w: ConjWord, s: GenSet) -> MatrixSL:
             g = inverses[letter.gen]
         out = out * (letter.conj * g * letter.conj.inv())
     return out
+
+
+def _eval_error(step: int, letter: Letter, bad_index: bool) -> Exception:
+    if bad_index:
+        return IndexOutOfRange(f"generator index {letter.gen} out of range")
+    return RingMismatch("conjugator ring/dimension mismatch")
+
+
+def _verify_error(step: int, letter: Letter, bad_index: bool) -> Exception:
+    what = "bad generator index" if bad_index else "conjugator mismatch"
+    return VerificationFailed(f"letter {step}: {what}", step=step)
+
+
+def eval_word(w: ConjWord, s: GenSet) -> MatrixSL:
+    """Exact product of the letters; the empty word evaluates to the identity."""
+    return _replay(w, s, _eval_error)
 
 
 def invert(w: ConjWord) -> ConjWord:
@@ -196,15 +216,5 @@ def verify_word(
         raise VerificationFailed(
             f"claimed length {length} != actual {len(w)}", step=len(w)
         )
-    out = identity(s.n, s.ring)
-    for idx, letter in enumerate(w.letters):
-        if not 0 <= letter.gen < len(s):
-            raise VerificationFailed(f"letter {idx}: bad generator index", step=idx)
-        if letter.conj.ring != s.ring or letter.conj.n != s.n:
-            raise VerificationFailed(f"letter {idx}: conjugator mismatch", step=idx)
-        g = s[letter.gen]
-        if letter.exp == -1:
-            g = g.inv()
-        out = out * (letter.conj * g * letter.conj.inv())
-    if out != target:
+    if _replay(w, s, _verify_error) != target:
         raise VerificationFailed("word does not evaluate to the target", step=len(w))

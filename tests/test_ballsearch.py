@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import boundgen
+from boundgen import ballsearch
 from boundgen.ballsearch import (
     backtrack_word,
     ball_bfs,
@@ -11,7 +18,8 @@ from boundgen.ballsearch import (
     normal_generation_number,
     sl_order_mod,
 )
-from boundgen.errors import BudgetExceeded
+from boundgen.cli import run
+from boundgen.errors import BudgetExceeded, SelfCheckFailed
 from boundgen.matrices import elementary, identity
 from boundgen.rand import SplitMix64
 from boundgen.rings import RingSpec
@@ -217,3 +225,33 @@ def test_psl_coincides_with_sl_for_trivial_scalars(sl32):
     # has the same 168 elements
     psl = enumerate_group(F2, 3, psl=True)
     assert psl.order == sl32.order == 168
+
+
+def test_order_self_check_raises(monkeypatch, capsys):
+    monkeypatch.setattr(ballsearch, "sl_order_mod", lambda n, l: 7)
+    with pytest.raises(SelfCheckFailed):
+        enumerate_group(F2, 2)
+    assert run(["delta", "--ring", "Fp:2", "--n", "2"]) == 2
+    assert "self-check failed" in capsys.readouterr().err
+
+
+def test_order_self_check_survives_optimize():
+    script = """
+if __debug__:
+    raise SystemExit("not running under -O")
+from boundgen import ballsearch
+from boundgen.errors import SelfCheckFailed
+from boundgen.rings import RingSpec
+ballsearch.sl_order_mod = lambda n, l: 7
+try:
+    ballsearch.enumerate_group(RingSpec.prime_field(2), 2)
+except SelfCheckFailed:
+    raise SystemExit(0)
+raise SystemExit("wrong group order went unnoticed")
+"""
+    src = str(Path(boundgen.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
