@@ -2,18 +2,19 @@
 matrix groups over Z/l or F_p.
 
 Group elements are packed into positional integer keys (entry[idx] * q^idx,
-row-major), which index a dense uint16 level array.  One level-synchronous
-frontier routine serves both group enumeration (letters: the generators and
-their inverses) and ball search (letters: the class alphabet); frontiers
-move through numpy in batches, so the million-element groups stay within a
-few seconds.  The BFS is level synchronous, so levels never depend on visit
+row-major; FiniteGroupTable owns the format), which index a dense uint16
+level array.  One level-synchronous frontier routine serves both group
+enumeration (letters: the generators and their inverses) and ball search
+(letters: the class alphabet); frontiers move through numpy in batches, so
+the million-element groups stay within a few seconds.  The BFS is level synchronous, so levels never depend on visit
 order; tests/test_ballsearch_reference.py checks keys, growth, norms and
 classes against a slow pure-Python BFS on small groups.
 
 The edge alphabet of a ball search is the full conjugacy-class closure of
 S and its inverses.  It comes from the same conjugation-orbit walk under
 the group's own generators that partitions the group into classes, so word
-norms match the definition over conjugates exactly.
+norms match the definition over conjugates exactly.  The walk multiplies
+plain entry tuples with the product routine behind MatrixSL.__mul__.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceeded, DimMismatch, RingMismatch, SelfCheckFailed
-from .matrices import MatrixSL, elementary
+from .matrices import MatrixSL, _mul_entries, elementary, identity
 from .rings import RingSpec, factorize, is_unit
 from .witness import sl_order
 from .words import ConjWord, GenSet, Letter
@@ -31,36 +32,6 @@ from .words import ConjWord, GenSet, Letter
 DEFAULT_BUDGET = 2 ** 24
 DENSE_KEY_LIMIT = 2 ** 27
 _SENT = np.uint16(0xFFFF)
-
-
-# ---------------------------------------------------------------------------
-# tuple-matrix helpers
-# ---------------------------------------------------------------------------
-
-
-def _t_mul(a: tuple, b: tuple, q: int, n: int) -> tuple:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % q for j in range(n))
-        for i in range(n)
-    )
-
-
-def _t_identity(n: int) -> tuple:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _t_key(m: tuple, q: int) -> int:
-    key = 0
-    mult = 1
-    for row in m:
-        for v in row:
-            key += v * mult
-            mult *= q
-    return key
-
-
-def _t_inv(m: tuple, ring: RingSpec) -> tuple:
-    return MatrixSL(len(m), ring, m).inv().entries
 
 
 def sl_order_mod(n: int, l: int) -> int:
@@ -122,6 +93,17 @@ class FiniteGroupTable:
         flat = mats.reshape(mats.shape[0], -1).astype(np.int64)
         return flat @ self._powers
 
+    def encode_one(self, m: tuple) -> int:
+        """Positional key of one entry grid (no scalar canonicalization)."""
+        q = self.ring.modulus
+        key = 0
+        mult = 1
+        for row in m:
+            for v in row:
+                key += v * mult
+                mult *= q
+        return key
+
     def decode(self, keys: np.ndarray) -> np.ndarray:
         q = self.ring.modulus
         m = self.n * self.n
@@ -152,11 +134,11 @@ class FiniteGroupTable:
                 tuple(tuple(v * lam % q for v in row) for row in m)
                 for lam in self.scalars
             ),
-            key=lambda t: _t_key(t, q),
+            key=self.encode_one,
         )
 
     def key_of(self, m: tuple) -> int:
-        return _t_key(self.canonical(m), self.ring.modulus)
+        return self.encode_one(self.canonical(m))
 
     def index_of_key(self, key: int) -> int:
         pos = int(np.searchsorted(self.keys, key))
@@ -177,7 +159,7 @@ class FiniteGroupTable:
 
     @property
     def identity_key(self) -> int:
-        return self.key_of(_t_identity(self.n))
+        return self.key_of(identity(self.n, self.ring).entries)
 
 
 def enumerate_group(
@@ -352,22 +334,21 @@ def _conjugation_orbit(table: FiniteGroupTable, start: tuple):
     table's canonical scalar.  Depth-first walk under the table's generators.
     """
     q = table.ring.modulus
-    n = table.n
-    gens_with_inv = [(g, _t_inv(g, table.ring)) for g in table.gens]
-    ident = _t_identity(n)
-    start_key = _t_key(start, q)
+    gens_with_inv = [(g, MatrixSL(table.n, table.ring, g).inv().entries) for g in table.gens]
+    ident = identity(table.n, table.ring).entries
+    start_key = table.encode_one(start)
     yield start_key, start, ident
     stack = [(start, ident)]
     seen = {start_key}
     while stack:
         cur, conj = stack.pop()
         for g, ginv in gens_with_inv:
-            new = table.canonical(_t_mul(_t_mul(g, cur, q, n), ginv, q, n))
-            k = _t_key(new, q)
+            new = table.canonical(_mul_entries(_mul_entries(g, cur, q), ginv, q))
+            k = table.encode_one(new)
             if k in seen:
                 continue
             seen.add(k)
-            new_conj = _t_mul(g, conj, q, n)
+            new_conj = _mul_entries(g, conj, q)
             yield k, new, new_conj
             stack.append((new, new_conj))
 
@@ -390,15 +371,15 @@ def backtrack_word(report: BallReport, target: MatrixSL) -> ConjWord:
     q = table.ring.modulus
     n = table.n
     cur = table.canonical(target.entries)
-    d = report._dense[_t_key(cur, q)]
+    d = report._dense[table.encode_one(cur)]
     if d == _SENT:
         raise KeyError("target is outside the normal closure")
     letters: list[Letter] = []
-    inv_cache = {id(e): _t_inv(e.mat, table.ring) for e in report.alphabet}
+    inv_cache = {id(e): MatrixSL(n, table.ring, e.mat).inv().entries for e in report.alphabet}
     for level in range(int(d), 0, -1):
         for entry in report.alphabet:
-            prev = table.canonical(_t_mul(cur, inv_cache[id(entry)], q, n))
-            if report._dense[_t_key(prev, q)] == level - 1:
+            prev = table.canonical(_mul_entries(cur, inv_cache[id(entry)], q))
+            if report._dense[table.encode_one(prev)] == level - 1:
                 letters.append(
                     Letter(entry.gen, entry.exp, MatrixSL(n, table.ring, entry.conj))
                 )
@@ -441,16 +422,32 @@ def conjugacy_classes(table: FiniteGroupTable, limit: int = 10 ** 5) -> list[Con
     return out
 
 
+@dataclass
+class ClassBall:
+    """The ball search from the representative of one nontrivial class."""
+
+    cls: ConjClass
+    rep: MatrixSL
+    normally_generates: bool
+    diameter: int | None
+
+
+def class_balls(table: FiniteGroupTable) -> list[ClassBall]:
+    """ball_bfs([rep]) for the representative of each nontrivial class, in class order."""
+    id_key = table.identity_key
+    out = []
+    for cls in conjugacy_classes(table):
+        if cls.rep_key == id_key:
+            continue
+        rep = table.matrix_at(table.index_of_key(cls.rep_key))
+        rpt = ball_bfs(table, [rep])
+        out.append(ClassBall(cls, rep, rpt.normally_generates, rpt.diameter))
+    return out
+
+
 def is_simple(table: FiniteGroupTable) -> bool:
     """True iff every nontrivial element normally generates the group."""
-    if table.order <= 1:
-        return False
-    for cls in conjugacy_classes(table):
-        if cls.rep_key == table.identity_key:
-            continue
-        if not ball_bfs(table, [table.matrix_at(table.index_of_key(cls.rep_key))]).normally_generates:
-            return False
-    return True
+    return table.order > 1 and all(c.normally_generates for c in class_balls(table))
 
 
 @dataclass
@@ -459,6 +456,7 @@ class DeltaReport:
 
     attained=False encodes the empty-supremum convention (no normally
     generating set of the allowed size exists); value is None in that case.
+    classes holds the single-class searches every k starts from.
     """
 
     k: int
@@ -467,6 +465,7 @@ class DeltaReport:
     witness: list[MatrixSL]
     simple_shortcut: bool
     checked_sets: int
+    classes: list[ClassBall] = field(repr=False)
 
 
 def delta_exhaustive(
@@ -481,28 +480,21 @@ def delta_exhaustive(
     """
     if k is not None and k >= 2 and table.order > 10 ** 4:
         raise BudgetExceeded("exhaustive delta for k >= 2 needs |G| <= 10^4")
-    classes = conjugacy_classes(table)
+    classes = class_balls(table)
     id_key = table.identity_key
 
     best: int | None = None
     witness: list[MatrixSL] = []
-    checked = 0
-    every_class_generates = True
-    for cls in classes:
-        if cls.rep_key == id_key:
-            continue
-        mat = table.matrix_at(table.index_of_key(cls.rep_key))
-        rpt = ball_bfs(table, [mat])
-        checked += 1
-        every_class_generates &= rpt.normally_generates
-        if rpt.normally_generates and (best is None or rpt.diameter > best):
-            best = rpt.diameter
-            witness = [mat]
+    for c in classes:
+        if c.normally_generates and (best is None or c.diameter > best):
+            best = c.diameter
+            witness = [c.rep]
+    checked = len(classes)
     if k == 1:
-        return DeltaReport(1, best is not None, best, witness, False, checked)
+        return DeltaReport(1, best is not None, best, witness, False, checked, classes)
     # the group is simple: every nontrivial class rep normally generates
-    if best is not None and every_class_generates:
-        return DeltaReport(k or table.order, True, best, witness, True, checked)
+    if best is not None and all(c.normally_generates for c in classes):
+        return DeltaReport(k or table.order, True, best, witness, True, checked, classes)
 
     nontrivial = [key for key in table.keys.tolist() if key != id_key]
     max_size = len(nontrivial) if k is None else min(k, len(nontrivial))
@@ -528,7 +520,8 @@ def delta_exhaustive(
                 best = rpt.diameter
                 witness = mats
     return DeltaReport(
-        k if k is not None else table.order, best is not None, best, witness, False, checked
+        k if k is not None else table.order, best is not None, best, witness, False, checked,
+        classes,
     )
 
 
@@ -537,19 +530,16 @@ def _conjugation_permutations(table: FiniteGroupTable) -> list[dict[int, int]]:
     if table.order > 400:
         raise BudgetExceeded("simultaneous-conjugacy pruning needs |G| <= 400")
     q = table.ring.modulus
-    n = table.n
     mats = [
         tuple(tuple(int(v) for v in row) for row in m) for m in table.decode(table.keys)
     ]
-    inv = {i: _t_inv(m, table.ring) for i, m in enumerate(mats)}
     perms = []
-    for i, g in enumerate(mats):
-        perm = {}
-        for x in mats:
-            perm[_t_key(table.canonical(x), q)] = _t_key(
-                table.canonical(_t_mul(_t_mul(g, x, q, n), inv[i], q, n)), q
-            )
-        perms.append(perm)
+    for g in mats:
+        ginv = MatrixSL(table.n, table.ring, g).inv().entries
+        perms.append({
+            table.key_of(x): table.key_of(_mul_entries(_mul_entries(g, x, q), ginv, q))
+            for x in mats
+        })
     return perms
 
 

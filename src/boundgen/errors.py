@@ -115,6 +115,12 @@ class BudgetExceeded(BoundgenError):
     """Group enumeration would exceed the configured element budget."""
 
 
+# --- serialize ---
+
+class MalformedInput(BoundgenError):
+    """A JSON document does not have the shape or the value types of the file format."""
+
+
 # --- internal postconditions ---
 
 class SelfCheckFailed(BoundgenError):

@@ -13,14 +13,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ballsearch import (
+    BallReport,
+    DeltaReport,
     FiniteGroupTable,
     ball_bfs,
-    conjugacy_classes,
     delta_exhaustive,
     enumerate_group,
     normal_generation_number,
 )
-from .matrices import MatrixSL, elementary
+from .matrices import MatrixSL, elementary, reduce_ring
 from .rings import RingSpec
 from .witness import class_size_lower
 
@@ -98,14 +99,14 @@ def product_table(factor_gens: list[list[MatrixSL]], ring: RingSpec) -> FiniteGr
     return enumerate_group(ring, n, gens=gens)
 
 
-def check_product_bound(
-    table_prod: FiniteGroupTable, deltas: list[int], k_total: int
-) -> CheckRow:
-    """Delta_{k1+...+km}(G1 x ... x Gm) >= sum Delta_{ki}(Gi)."""
-    dp = delta_exhaustive(table_prod, k_total)
+def check_product_bound(dp: DeltaReport, deltas: list[int]) -> CheckRow:
+    """Delta_{k1+...+km}(G1 x ... x Gm) >= sum Delta_{ki}(Gi).
+
+    dp is Delta_{k1+...+km} of the product table.
+    """
     rhs = sum(deltas)
     return CheckRow(
-        f"product: Delta_{k_total}(prod) >= sum of factor deltas",
+        f"product: Delta_{dp.k}(prod) >= sum of factor deltas",
         dp.value,
         ">=",
         rhs,
@@ -119,12 +120,7 @@ def check_ball_image(
 ) -> CheckRow:
     """Image of B_S(d) under reduction equals the ball of the reduced set, per level."""
     rpt_g = ball_bfs(table_g, s)
-    ring_h = table_h.ring
-    s_reduced = [
-        MatrixSL(m.n, ring_h, tuple(tuple(ring_h.normalize(v) for v in row) for row in m.entries))
-        for m in s
-    ]
-    rpt_h = ball_bfs(table_h, s_reduced)
+    rpt_h = ball_bfs(table_h, [reduce_ring(m, table_h.ring) for m in s])
     dmax = rpt_g.diameter if rpt_g.diameter is not None else int(rpt_g.norms.max())
     holds = True
     for d in range(dmax + 1):
@@ -144,32 +140,30 @@ def check_ball_image(
     )
 
 
-def check_class_size_bound(table: FiniteGroupTable, delta: int) -> list[CheckRow]:
-    """log2|S| > log2|G|/delta - 2 for every normally generating class."""
+def check_class_size_bound(table: FiniteGroupTable, d1: DeltaReport) -> list[CheckRow]:
+    """log2|S| > log2|G|/delta - 2 for every normally generating class.
+
+    d1 is Delta_1 of the table; delta is its value.
+    """
+    delta = d1.value
     generic, _symmetric = class_size_lower(table.order, delta)
-    rows = []
-    for cls in conjugacy_classes(table):
-        if cls.rep_key == table.identity_key:
-            continue
-        mat = table.matrix_at(table.index_of_key(cls.rep_key))
-        if not ball_bfs(table, [mat]).normally_generates:
-            continue
-        rows.append(
-            CheckRow(
-                f"class size {cls.size}",
-                f"log2({cls.size})",
-                ">",
-                f"log2({table.order})/{delta} - 2",
-                generic.holds_for(cls.size),
-                {"threshold_log2": generic.log2_threshold},
-            )
+    return [
+        CheckRow(
+            f"class size {c.cls.size}",
+            f"log2({c.cls.size})",
+            ">",
+            f"log2({table.order})/{delta} - 2",
+            generic.holds_for(c.cls.size),
+            {"threshold_log2": generic.log2_threshold},
         )
-    return rows
+        for c in d1.classes
+        if c.normally_generates
+    ]
 
 
-def check_norm_axioms(table: FiniteGroupTable, s: list[MatrixSL]) -> CheckRow:
+def check_norm_axioms(rpt: BallReport) -> CheckRow:
     """Norm axioms and conjugation invariance, exhaustively on a small group."""
-    rpt = ball_bfs(table, s)
+    table = rpt.table
     if table.order > 600:
         raise ValueError("exhaustive axiom check is for small groups")
     mats = [table.matrix_at(i) for i in range(table.order)]
@@ -189,9 +183,9 @@ def check_norm_axioms(table: FiniteGroupTable, s: list[MatrixSL]) -> CheckRow:
     return CheckRow("norm axioms (inverse, subadditive, conjugation)", "axioms", "==", "hold", ok)
 
 
-def check_ball_multiplicativity(table: FiniteGroupTable, s: list[MatrixSL]) -> CheckRow:
+def check_ball_multiplicativity(rpt: BallReport) -> CheckRow:
     """B_S(a) * B_S(b) == B_S(a+b) set-wise, all level pairs, on a small group."""
-    rpt = ball_bfs(table, s)
+    table = rpt.table
     if table.order > 100:
         raise ValueError("set-wise ball products are for tiny groups")
     levels = int(rpt.norms.max())
@@ -216,11 +210,7 @@ def check_lipschitz(
 ) -> CheckRow:
     """nu(psi(g)) <= C ||g||_S with C = max nu(psi(s)), psi the reduction map."""
     rpt_g = ball_bfs(table_g, s)
-    ring_h = table_h.ring
-    s_red = [
-        MatrixSL(m.n, ring_h, tuple(tuple(ring_h.normalize(v) for v in row) for row in m.entries))
-        for m in s
-    ]
+    s_red = [reduce_ring(m, table_h.ring) for m in s]
     rpt_h = ball_bfs(table_h, s_red)
     c = max(rpt_h.norm_of(m) for m in s_red)
     img_keys = _reduce_keys(table_g, table_h, table_g.keys)
@@ -244,23 +234,14 @@ def check_lipschitz(
     )
 
 
-def check_nonsqueezing(table: FiniteGroupTable, norm_gens: list[MatrixSL]) -> CheckRow:
+def check_nonsqueezing(d1: DeltaReport, nu: BallReport) -> CheckRow:
     """Delta_1(G) * inf over singleton generating sets of nu(s) >= diam(nu).
 
-    nu is the word norm of norm_gens; the infimum runs over all normally
-    generating single elements.
+    nu is a word norm on G and d1 is Delta_1(G); the infimum runs over all
+    normally generating single elements.
     """
-    nu = ball_bfs(table, norm_gens)
     diam_nu = nu.diameter
-    d1 = delta_exhaustive(table, 1)
-    inf_val = None
-    for cls in conjugacy_classes(table):
-        if cls.rep_key == table.identity_key:
-            continue
-        mat = table.matrix_at(table.index_of_key(cls.rep_key))
-        if ball_bfs(table, [mat]).normally_generates:
-            v = nu.norm_of(mat)
-            inf_val = v if inf_val is None else min(inf_val, v)
+    inf_val = min(nu.norm_of(c.rep) for c in d1.classes if c.normally_generates)
     lhs = d1.value * inf_val
     return CheckRow(
         "nonsqueezing: Delta_1 * inf max nu(s) >= diam nu",
@@ -273,12 +254,13 @@ def check_nonsqueezing(table: FiniteGroupTable, norm_gens: list[MatrixSL]) -> Ch
 
 
 def check_splitting_bound(
-    table_prod: FiniteGroupTable, dims: list[int], k: int
+    table_prod: FiniteGroupTable, dims: list[int], dk: DeltaReport
 ) -> list[CheckRow]:
     """A splitting collection of size k forces Delta(G) >= k.
 
     For a block-diagonal product table, the kernels N_i (trivial block i)
     split the group; surjectivity of the product map is an order count.
+    dk is Delta_k of the product table.
     """
     rows = []
     order = table_prod.order
@@ -304,7 +286,7 @@ def check_splitting_bound(
             {"quotient_orders": factors},
         )
     )
-    dk = delta_exhaustive(table_prod, k)
+    k = dk.k
     rows.append(
         CheckRow(
             f"splitting: Delta(G) >= {k} (witnessed by Delta_{k})",
@@ -337,18 +319,19 @@ def run_small_suite() -> list[CheckRow]:
     prod = product_table([s3_gens, s3_gens], f2)
     s3 = enumerate_group(f2, 2)
     d1 = delta_exhaustive(s3, 1)
-    rows.append(check_product_bound(prod, [d1.value, d1.value], 2))
-    rows.extend(check_splitting_bound(prod, [2, 2], 2))
+    d2_prod = delta_exhaustive(prod, 2)
+    rows.append(check_product_bound(d2_prod, [d1.value, d1.value]))
+    rows.extend(check_splitting_bound(prod, [2, 2], d2_prod))
 
     s_g = [elementary(1, 2, 1, 2, z4)]
     rows.append(check_ball_image(g24, g22, s_g))
     rows.append(check_lipschitz(g24, g22, s_g))
 
-    rows.append(check_norm_axioms(s3, [elementary(1, 2, 1, 2, f2)]))
-    rows.append(check_ball_multiplicativity(s3, [elementary(1, 2, 1, 2, f2)]))
-    rows.append(check_nonsqueezing(s3, [elementary(1, 2, 1, 2, f2)]))
+    nu = ball_bfs(s3, [elementary(1, 2, 1, 2, f2)])
+    rows.append(check_norm_axioms(nu))
+    rows.append(check_ball_multiplicativity(nu))
+    rows.append(check_nonsqueezing(d1, nu))
 
     g32 = enumerate_group(f2, 3)
-    d1_g32 = delta_exhaustive(g32, 1)
-    rows.extend(check_class_size_bound(g32, d1_g32.value))
+    rows.extend(check_class_size_bound(g32, delta_exhaustive(g32, 1)))
     return rows

@@ -5,11 +5,16 @@ the determinant-1 invariant is checked at construction, so every MatrixSL in
 the system is a genuine element of SL(n, R).  The inverse is computed by the
 adjugate, which is division-free because det = 1 and therefore works
 uniformly over Z, Z/l and F_p.
+
+Products of entry grids go through one private routine, `_mul_entries`,
+which serves both `MatrixSL.__mul__` and the conjugation walks of
+`ballsearch` over its plain tuple matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import (
     BadIndex,
@@ -88,17 +93,8 @@ class MatrixSL:
 
     def __mul__(self, other: "MatrixSL") -> "MatrixSL":
         _check_compat(self, other)
-        ring = self.ring
-        n = self.n
-        a, b = self.entries, other.entries
-        rows = tuple(
-            tuple(
-                ring.normalize(sum(a[i][k] * b[k][j] for k in range(n)))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        return _raw(n, ring, rows)
+        rows = _mul_entries(self.entries, other.entries, self.ring.modulus)
+        return _raw(self.n, self.ring, rows)
 
     def inv(self) -> "MatrixSL":
         """Inverse via the adjugate; exact since det = 1."""
@@ -167,6 +163,14 @@ def _raw(n: int, ring: RingSpec, rows: tuple[tuple[int, ...], ...]) -> MatrixSL:
     sizes we use) so no unchecked matrix can leak out.
     """
     return MatrixSL(n, ring, rows)
+
+
+def _mul_entries(a: tuple, b: tuple, q: int | None) -> tuple:
+    """Row-major product of two square entry grids, reduced mod q (None: over Z)."""
+    cols = tuple(zip(*b))
+    if q is None:
+        return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) % q for col in cols) for row in a)
 
 
 def _check_compat(a: MatrixSL, b: MatrixSL) -> None:

@@ -2,15 +2,40 @@
 
 Ring elements travel as decimal strings so arbitrary-precision values
 survive any JSON parser; matrices embed their ring so every file is
-self-describing.
+self-describing.  Readers check the shape of what they parse (objects,
+lists, integers or integer strings) and raise MalformedInput otherwise.
 """
 
 from __future__ import annotations
 
-from .errors import VerificationFailed
+from .errors import MalformedInput, VerificationFailed
 from .matrices import MatrixSL
 from .rings import RingSpec
 from .words import ConjWord, GenSet, Letter, verify_word
+
+
+def _field(data, key: str, what: str):
+    if not isinstance(data, dict):
+        raise MalformedInput(f"{what} must be a JSON object, not {type(data).__name__}")
+    if key not in data:
+        raise MalformedInput(f"{what} has no {key!r} field")
+    return data[key]
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise MalformedInput(f"{what} must be a JSON list, not {type(value).__name__}")
+    return value
+
+
+def _int(value, what: str) -> int:
+    """An int, or a decimal string of one; bools and floats are rejected."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise MalformedInput(f"{what} must be an integer or an integer string, not {value!r}")
 
 
 def ring_to_json(ring: RingSpec) -> dict:
@@ -22,14 +47,14 @@ def ring_to_json(ring: RingSpec) -> dict:
 
 
 def ring_from_json(data: dict) -> RingSpec:
-    kind = data["kind"]
+    kind = _field(data, "kind", "ring")
     if kind == "Z":
         return RingSpec.integers()
     if kind == "Zmod":
-        return RingSpec.residue(int(data["l"]))
+        return RingSpec.residue(_int(_field(data, "l", "ring"), "ring modulus"))
     if kind == "Fp":
-        return RingSpec.prime_field(int(data["p"]))
-    raise ValueError(f"unknown ring kind {kind!r}")
+        return RingSpec.prime_field(_int(_field(data, "p", "ring"), "ring modulus"))
+    raise MalformedInput(f"unknown ring kind {kind!r}")
 
 
 def parse_ring(text: str) -> RingSpec:
@@ -54,9 +79,12 @@ def matrix_to_json(m: MatrixSL) -> dict:
 
 
 def matrix_from_json(data: dict) -> MatrixSL:
-    ring = ring_from_json(data["ring"])
-    rows = tuple(tuple(int(v) for v in row) for row in data["rows"])
-    return MatrixSL(int(data["n"]), ring, rows)
+    ring = ring_from_json(_field(data, "ring", "matrix"))
+    rows = tuple(
+        tuple(_int(v, "matrix entry") for v in _list(row, "matrix row"))
+        for row in _list(_field(data, "rows", "matrix"), "matrix rows")
+    )
+    return MatrixSL(_int(_field(data, "n", "matrix"), "matrix dimension"), ring, rows)
 
 
 def genset_to_json(s: GenSet) -> dict:
@@ -67,8 +95,8 @@ def genset_to_json(s: GenSet) -> dict:
 
 
 def genset_from_json(data: dict) -> GenSet:
-    gens = tuple(matrix_from_json(m) for m in data["gens"])
-    labels = tuple(data["labels"]) if "labels" in data else None
+    gens = tuple(matrix_from_json(m) for m in _list(_field(data, "gens", "genset"), "gens"))
+    labels = tuple(_list(data["labels"], "labels")) if "labels" in data else None
     return GenSet(gens, labels)
 
 
@@ -88,13 +116,19 @@ def certificate_to_json(
 
 
 def certificate_from_json(data: dict) -> tuple[ConjWord, GenSet, MatrixSL, int]:
-    gens = GenSet(tuple(matrix_from_json(m) for m in data["gens"]))
+    gens_data = _list(_field(data, "gens", "certificate"), "gens")
+    gens = GenSet(tuple(matrix_from_json(m) for m in gens_data))
     letters = tuple(
-        Letter(int(l["g"]), int(l["e"]), matrix_from_json(l["c"]))
-        for l in data["letters"]
+        Letter(
+            _int(_field(l, "g", "letter"), "letter generator"),
+            _int(_field(l, "e", "letter"), "letter exponent"),
+            matrix_from_json(_field(l, "c", "letter")),
+        )
+        for l in _list(_field(data, "letters", "certificate"), "letters")
     )
-    target = matrix_from_json(data["claims"]["target"])
-    length = int(data["claims"]["length"])
+    claims = _field(data, "claims", "certificate")
+    target = matrix_from_json(_field(claims, "target", "claims"))
+    length = _int(_field(claims, "length", "claims"), "claimed length")
     return ConjWord(letters), gens, target, length
 
 

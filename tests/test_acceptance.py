@@ -178,7 +178,7 @@ def test_criterion_8_inequality_suite():
     prod = product_table([s3_gens, s3_gens], f2)
     s3 = enumerate_group(f2, 2)
     d1 = delta_exhaustive(s3, 1)
-    row_prod = check_product_bound(prod, [d1.value, d1.value], 2)
+    row_prod = check_product_bound(delta_exhaustive(prod, 2), [d1.value, d1.value])
     rows.append(row_prod)
 
     rows.append(check_extension_bound(enumerate_group(f3, 2), enumerate_group(f3, 2, psl=True)))

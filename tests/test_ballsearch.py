@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import boundgen
@@ -189,22 +190,18 @@ def test_quotient_ball_compat(sl24):
 def test_ball_multiplicativity_setwise(s3):
     e = elementary(1, 2, 1, 2, F2)
     rpt = ball_bfs(s3, [e])
-    mats_by_level = {}
-    for d in range(rpt.diameter + 1):
-        keys = s3.keys[rpt.norms <= d]
-        mats_by_level[d] = [
-            tuple(tuple(int(v) for v in row) for row in m) for m in s3.decode(keys)
-        ]
-    from boundgen.ballsearch import _t_key, _t_mul
-
+    mats_by_level = {
+        d: [s3.matrix_at(int(i)) for i in np.flatnonzero(rpt.norms <= d)]
+        for d in range(rpt.diameter + 1)
+    }
     for a in range(rpt.diameter + 1):
         for b in range(rpt.diameter + 1 - a):
             prod = {
-                _t_key(_t_mul(x, y, 2, 2), 2)
+                s3.encode_one((x * y).entries)
                 for x in mats_by_level[a]
                 for y in mats_by_level[b]
             }
-            assert prod == {_t_key(m, 2) for m in mats_by_level[a + b]}
+            assert prod == {s3.encode_one(m.entries) for m in mats_by_level[a + b]}
 
 
 def test_class_closure_membership_error(s3):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from boundgen.cli import run
+from boundgen.errors import MalformedInput
 from boundgen.matrices import elementary
 from boundgen.rings import RingSpec
 from boundgen.serialize import (
@@ -51,6 +52,33 @@ def test_pia_verb(tmp_path, capsys):
     p = write(tmp_path, "m.json", matrix_to_json(elementary(1, 3, 6, 3, Z)))
     assert run(["pia", p]) == 0
     assert out_json(capsys)["support"] == ["2", "3"]
+
+
+def _spoil(data, how):
+    if how == "top-level list":
+        return [data]
+    if how == "rows not a list":
+        data["rows"] = 5
+    elif how == "ring not an object":
+        data["ring"] = "Z"
+    elif how == "null entry":
+        data["rows"][0][1] = None
+    elif how == "float entry":
+        data["rows"][0][2] = 1.5
+    return data
+
+
+@pytest.mark.parametrize(
+    "how", ["rows not a list", "top-level list", "ring not an object", "null entry", "float entry"]
+)
+def test_malformed_matrix_json_is_an_input_error(tmp_path, capsys, how):
+    data = _spoil(matrix_to_json(elementary(1, 3, 6, 3, Z)), how)
+    with pytest.raises(MalformedInput):
+        matrix_from_json(data)
+    assert run(["pia", write(tmp_path, "m.json", data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_normgen_yes(tmp_path, capsys):

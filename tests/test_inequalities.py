@@ -26,7 +26,7 @@ def test_product_bound_exact():
     prod = product_table([gens, gens], F2)
     base = enumerate_group(F2, 2)
     d1 = delta_exhaustive(base, 1)
-    row = check_product_bound(prod, [d1.value, d1.value], 2)
+    row = check_product_bound(delta_exhaustive(prod, 2), [d1.value, d1.value])
     assert row.holds
     assert row.lhs >= 4
 
@@ -55,7 +55,7 @@ def test_ball_image():
 def test_splitting():
     gens = [elementary(1, 2, 1, 2, F2), elementary(2, 1, 1, 2, F2)]
     prod = product_table([gens, gens], F2)
-    rows = check_splitting_bound(prod, [2, 2], 2)
+    rows = check_splitting_bound(prod, [2, 2], delta_exhaustive(prod, 2))
     assert all(r.holds for r in rows)
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from boundgen.errors import (
@@ -120,6 +122,48 @@ def test_sigma_inverse_relation(z):
             for j in range(1, n + 1):
                 if i != j:
                     assert sigma(i, j, n, z) * sigma(j, i, n, z) == identity(n, z)
+
+
+def _triple_loop(a, b, ring):
+    n = len(a)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] += a[i][k] * b[k][j]
+            out[i][j] = ring.normalize(out[i][j])
+    return tuple(tuple(row) for row in out)
+
+
+def _big_sl(rng, n, ring, bound):
+    m = identity(n, ring)
+    for _ in range(2 * n):
+        i, j = rng.sample(range(1, n + 1), 2)
+        m = m * elementary(i, j, rng.randint(-bound, bound), n, ring)
+    return m
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "ring, bound, reductions",
+    [
+        (RingSpec.integers(), 2 ** 70, [RingSpec.residue(12), RingSpec.prime_field(7)]),
+        (RingSpec.residue(12), 11, [RingSpec.residue(4), RingSpec.prime_field(3)]),
+        (RingSpec.prime_field(7), 6, []),
+    ],
+    ids=["Z", "Z12", "F7"],
+)
+def test_product_matches_triple_loop(n, ring, bound, reductions):
+    rng = random.Random(1000 * n + (ring.modulus or 0))
+    seen = []
+    for _ in range(6):
+        a, b = _big_sl(rng, n, ring, bound), _big_sl(rng, n, ring, bound)
+        assert (a * b).entries == _triple_loop(a.entries, b.entries, ring)
+        for target in reductions:
+            assert reduce_ring(a * b, target) == reduce_ring(a, target) * reduce_ring(b, target)
+        seen.extend(v for row in a.entries + b.entries for v in row)
+    if ring.is_integers:
+        assert max(seen) > 2 ** 64 and min(seen) < -(2 ** 64)
 
 
 def test_reduce_ring(z):
