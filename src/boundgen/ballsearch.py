@@ -5,10 +5,16 @@ Group elements are packed into positional integer keys (entry[idx] * q^idx,
 row-major; FiniteGroupTable owns the format), which index a dense uint16
 level array.  One level-synchronous frontier routine serves both group
 enumeration (letters: the generators and their inverses) and ball search
-(letters: the class alphabet); frontiers move through numpy in batches, so
-the million-element groups stay within a few seconds.  The BFS is level synchronous, so levels never depend on visit
-order; tests/test_ballsearch_reference.py checks keys, growth, norms and
-classes against a slow pure-Python BFS on small groups.
+(letters: the class alphabet).  Its kernel relies on the key being
+row-major base q: each row of a matrix is then one base-q^n digit of its
+key, and right multiplication by a letter maps each row on its own.  So
+per BFS call one table per (scalar, letter, row) maps a row digit to that
+row's share of the image key, and the key of an image, scalar
+canonicalization included, is a minimum over scalars of n table lookups.
+New elements are marked straight in the level array.  The BFS is level
+synchronous, so levels never depend on visit order;
+tests/test_ballsearch_reference.py checks keys, growth, norms and classes
+against a slow pure-Python BFS on small groups.
 
 The edge alphabet of a ball search is the full conjugacy-class closure of
 S and its inverses.  It comes from the same conjugation-orbit walk under
@@ -32,6 +38,7 @@ from .words import ConjWord, GenSet, Letter
 DEFAULT_BUDGET = 2 ** 24
 DENSE_KEY_LIMIT = 2 ** 27
 _SENT = np.uint16(0xFFFF)
+_GATHER_CELLS = 2 ** 17  # frontier rows x letters per gather block
 
 
 def sl_order_mod(n: int, l: int) -> int:
@@ -218,6 +225,27 @@ def enumerate_group(
     return table
 
 
+def _row_tables(table: FiniteGroupTable, letters: list[tuple]) -> np.ndarray:
+    """T[lam, r][v, a] = rowkey(lam * v * letters[a] mod q) * q^(n*r).
+
+    v runs over the q^n row keys (the row vector sum_c v_c q^c), lam over
+    table.scalars and r over the rows; shape (scalars, n, q^n, letters).
+    int32 holds every key, since the key space is at most DENSE_KEY_LIMIT.
+    """
+    q, n = table.ring.modulus, table.n
+    powers = q ** np.arange(n, dtype=np.int32)
+    rows = np.arange(q ** n, dtype=np.int32)[:, None] // powers % q
+    mats = np.array(letters, dtype=np.int32).reshape(-1, n, n)
+    tables = np.zeros((len(table.scalars), n, q ** n, len(mats)), dtype=np.int32)
+    for c in range(n):
+        entries = rows @ mats[:, :, c].T  # entry c of v * a, before reduction
+        for lam_tables, lam in zip(tables, table.scalars):
+            lam_tables[0] += lam * entries % q * powers[c]
+    for r in range(1, n):
+        tables[:, r] = tables[:, 0] * q ** (n * r)
+    return tables
+
+
 def _frontier_levels(
     table: FiniteGroupTable, letters: list[tuple], budget: int | None = None
 ) -> tuple[np.ndarray, list[int]]:
@@ -226,26 +254,39 @@ def _frontier_levels(
     Returns the dense level array over the key space (_SENT where no word
     in the letters reaches) and the cumulative element count per level.
     BudgetExceeded once more than `budget` elements have been reached.
+
+    Row-table kernel: keys are row-major base q, so row r of a matrix is
+    the base-q^n digit r of its key, and row r of M*a depends on row r of
+    M alone.  With the _row_tables T, the key of canonical(M*a) is
+    min over lam of sum_r T[lam, r][digit_r(M), a]: n gathers per scalar
+    for a block of frontier rows against all letters at once.  New
+    elements are marked straight in the level array, and the next
+    frontier is read back off it.
     """
-    q = table.ring.modulus
+    q, n = table.ring.modulus, table.n
+    tables = _row_tables(table, letters)
+    block = max(1, _GATHER_CELLS // max(1, len(letters)))
     levels = np.full(table.key_space, _SENT, dtype=np.uint16)
     id_key = table.identity_key
     levels[id_key] = 0
     frontier = np.array([id_key], dtype=np.int64)
     growth = [1]
-    letter_arrays = [np.array(a, dtype=np.int64) for a in letters]
     level = 0
-    while frontier.size:
+    # once a ball search has reached the whole group no level can add to it;
+    # table.order is 0 while enumerate_group is still filling the table
+    while frontier.size and growth[-1] != table.order:
         level += 1
-        mats = table.decode(frontier)
-        parts = []
-        for a in letter_arrays:
-            keys = table.canonical_keys(mats @ a % q)
-            fresh = np.unique(keys[levels[keys] == _SENT])
-            if fresh.size:
-                levels[fresh] = level
-                parts.append(fresh)
-        frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        for start in range(0, frontier.size, block):
+            part = frontier[start : start + block]
+            digits = [part // q ** (n * r) % q ** n for r in range(n)]
+            images = None
+            for lam_tables in tables:
+                cand = lam_tables[0].take(digits[0], axis=0)
+                for r in range(1, n):
+                    cand += lam_tables[r].take(digits[r], axis=0)
+                images = cand if images is None else np.minimum(images, cand)
+            levels[images[levels.take(images) == _SENT]] = level
+        frontier = np.flatnonzero(levels == level)
         if frontier.size:
             growth.append(growth[-1] + int(frontier.size))
             if budget is not None and growth[-1] > budget:
@@ -469,7 +510,10 @@ class DeltaReport:
 
 
 def delta_exhaustive(
-    table: FiniteGroupTable, k: int | None = 1, set_budget: int = 250_000
+    table: FiniteGroupTable,
+    k: int | None = 1,
+    set_budget: int = 250_000,
+    classes: list[ClassBall] | None = None,
 ) -> DeltaReport:
     """Delta_k by exhaustive enumeration of candidate sets up to conjugacy.
 
@@ -477,10 +521,13 @@ def delta_exhaustive(
     sets are pruned by simultaneous conjugacy; sets containing the identity
     are skipped since removing the identity never changes the norm.  For
     simple groups and k > 1 the single-generator value is returned directly.
+    classes is class_balls(table) where the caller already holds it (the
+    classes of an earlier DeltaReport of the same table).
     """
     if k is not None and k >= 2 and table.order > 10 ** 4:
         raise BudgetExceeded("exhaustive delta for k >= 2 needs |G| <= 10^4")
-    classes = class_balls(table)
+    if classes is None:
+        classes = class_balls(table)
     id_key = table.identity_key
 
     best: int | None = None
@@ -543,10 +590,16 @@ def _conjugation_permutations(table: FiniteGroupTable) -> list[dict[int, int]]:
     return perms
 
 
+def normal_generation(table: FiniteGroupTable, cap: int = 3) -> DeltaReport:
+    """Delta_k for the smallest k admitting a normally generating set of size k."""
+    classes = class_balls(table)
+    for k in range(1, cap + 1):
+        rpt = delta_exhaustive(table, k, classes=classes)
+        if rpt.attained:
+            return rpt
+    raise BudgetExceeded(f"no normally generating set of size <= {cap} found")
+
+
 def normal_generation_number(table: FiniteGroupTable, cap: int = 3) -> int:
     """Smallest k admitting a normally generating set of size k."""
-    for k in range(1, cap + 1):
-        rpt = delta_exhaustive(table, k)
-        if rpt.attained:
-            return k
-    raise BudgetExceeded(f"no normally generating set of size <= {cap} found")
+    return normal_generation(table, cap).k

@@ -19,7 +19,7 @@ from .ballsearch import (
     ball_bfs,
     delta_exhaustive,
     enumerate_group,
-    normal_generation_number,
+    normal_generation,
 )
 from .matrices import MatrixSL, elementary, reduce_ring
 from .rings import RingSpec
@@ -51,9 +51,10 @@ def check_quotient_bound(
     table_g: FiniteGroupTable, table_h: FiniteGroupTable, k: int = 1
 ) -> CheckRow:
     """Delta_k(H) <= Delta_{n0+k}(G) through a reduction epimorphism."""
-    n0 = normal_generation_number(table_g)
+    dn0 = normal_generation(table_g)
+    n0 = dn0.k
     dh = delta_exhaustive(table_h, k)
-    dg = delta_exhaustive(table_g, n0 + k)
+    dg = delta_exhaustive(table_g, n0 + k, classes=dn0.classes)
     return CheckRow(
         f"quotient: Delta_{k}(H) <= Delta_{n0}+{k}(G)",
         dh.value,
@@ -115,12 +116,23 @@ def check_product_bound(dp: DeltaReport, deltas: list[int]) -> CheckRow:
     )
 
 
+def _reduction_balls(
+    table_g: FiniteGroupTable, table_h: FiniteGroupTable, s: list[MatrixSL]
+) -> tuple[BallReport, BallReport]:
+    """The ball searches for s in G and for its reduction psi(s) in H."""
+    return ball_bfs(table_g, s), ball_bfs(table_h, [reduce_ring(m, table_h.ring) for m in s])
+
+
 def check_ball_image(
     table_g: FiniteGroupTable, table_h: FiniteGroupTable, s: list[MatrixSL]
 ) -> CheckRow:
     """Image of B_S(d) under reduction equals the ball of the reduced set, per level."""
-    rpt_g = ball_bfs(table_g, s)
-    rpt_h = ball_bfs(table_h, [reduce_ring(m, table_h.ring) for m in s])
+    return _ball_image_row(*_reduction_balls(table_g, table_h, s))
+
+
+def _ball_image_row(rpt_g: BallReport, rpt_h: BallReport) -> CheckRow:
+    """check_ball_image for the searches of s in G and of psi(s) in H."""
+    table_g, table_h = rpt_g.table, rpt_h.table
     dmax = rpt_g.diameter if rpt_g.diameter is not None else int(rpt_g.norms.max())
     holds = True
     for d in range(dmax + 1):
@@ -203,16 +215,13 @@ def check_ball_multiplicativity(rpt: BallReport) -> CheckRow:
     return CheckRow("ball products: B(a)B(b) == B(a+b)", "products", "==", "balls", ok)
 
 
-def check_lipschitz(
-    table_g: FiniteGroupTable,
-    table_h: FiniteGroupTable,
-    s: list[MatrixSL],
-) -> CheckRow:
-    """nu(psi(g)) <= C ||g||_S with C = max nu(psi(s)), psi the reduction map."""
-    rpt_g = ball_bfs(table_g, s)
-    s_red = [reduce_ring(m, table_h.ring) for m in s]
-    rpt_h = ball_bfs(table_h, s_red)
-    c = max(rpt_h.norm_of(m) for m in s_red)
+def check_lipschitz(rpt_g: BallReport, rpt_h: BallReport) -> CheckRow:
+    """nu(psi(g)) <= C ||g||_S with C = max nu(psi(s)), psi the reduction map.
+
+    rpt_g is the search for s in G and rpt_h the one for psi(s) in H.
+    """
+    table_g, table_h = rpt_g.table, rpt_h.table
+    c = max(rpt_h.norm_of(m) for m in rpt_h.genset)
     img_keys = _reduce_keys(table_g, table_h, table_g.keys)
     dense_h = rpt_h._dense
     ok = True
@@ -323,9 +332,9 @@ def run_small_suite() -> list[CheckRow]:
     rows.append(check_product_bound(d2_prod, [d1.value, d1.value]))
     rows.extend(check_splitting_bound(prod, [2, 2], d2_prod))
 
-    s_g = [elementary(1, 2, 1, 2, z4)]
-    rows.append(check_ball_image(g24, g22, s_g))
-    rows.append(check_lipschitz(g24, g22, s_g))
+    reduction = _reduction_balls(g24, g22, [elementary(1, 2, 1, 2, z4)])
+    rows.append(_ball_image_row(*reduction))
+    rows.append(check_lipschitz(*reduction))
 
     nu = ball_bfs(s3, [elementary(1, 2, 1, 2, f2)])
     rows.append(check_norm_axioms(nu))

@@ -3,7 +3,8 @@
 Ring elements travel as decimal strings so arbitrary-precision values
 survive any JSON parser; matrices embed their ring so every file is
 self-describing.  Readers check the shape of what they parse (objects,
-lists, integers or integer strings) and raise MalformedInput otherwise.
+lists, integers or integer strings, and a dimension of at least 2) and
+raise MalformedInput otherwise.
 """
 
 from __future__ import annotations
@@ -84,7 +85,10 @@ def matrix_from_json(data: dict) -> MatrixSL:
         tuple(_int(v, "matrix entry") for v in _list(row, "matrix row"))
         for row in _list(_field(data, "rows", "matrix"), "matrix rows")
     )
-    return MatrixSL(_int(_field(data, "n", "matrix"), "matrix dimension"), ring, rows)
+    n = _int(_field(data, "n", "matrix"), "matrix dimension")
+    if n < 2:
+        raise MalformedInput(f"matrix dimension must be at least 2, not {n}")
+    return MatrixSL(n, ring, rows)
 
 
 def genset_to_json(s: GenSet) -> dict:

@@ -119,8 +119,26 @@ class Reference:
 
 F2 = RingSpec.prime_field(2)
 F3 = RingSpec.prime_field(3)
+F5 = RingSpec.prime_field(5)
+F7 = RingSpec.prime_field(7)
 Z4 = RingSpec.residue(4)
+Z6 = RingSpec.residue(6)
 THREE_CYCLE = ((0, 1), (1, 1))  # E_12(1) E_21(1) over F2, of order 3
+
+
+def block_diagonal(a, b):
+    """The block matrix diag(a, b) of two square entry grids."""
+    return tuple(tuple(row) + (0,) * len(b) for row in a) + tuple(
+        (0,) * len(a) + tuple(row) for row in b
+    )
+
+
+# S_3 x S_3 in SL(4,F2), generated by E_12(1) and E_21(1) in each diagonal block
+S3_GENS = [((1, 1), (0, 1)), ((1, 0), (1, 1))]
+ONE_2 = ((1, 0), (0, 1))
+S3_SQUARED = [block_diagonal(g, ONE_2) for g in S3_GENS] + [
+    block_diagonal(ONE_2, g) for g in S3_GENS
+]
 
 GROUPS = {
     "SL(2,F2)": (F2, 2, False, None),
@@ -129,6 +147,11 @@ GROUPS = {
     "SL(2,Z/4)": (Z4, 2, False, None),
     "SL(3,F2)": (F2, 3, False, None),
     "3-cycle subgroup": (F2, 2, False, [THREE_CYCLE]),
+    "SL(2,Z/6)": (Z6, 2, False, None),
+    "SL(2,F5)": (F5, 2, False, None),
+    "PSL(2,F5)": (F5, 2, True, None),
+    "SL(2,F7)": (F7, 2, False, None),
+    "S3 x S3 in SL(4,F2)": (F2, 4, False, S3_SQUARED),
 }
 
 
@@ -161,3 +184,23 @@ def test_balls_match_reference(group):
         growth, norms = ref.ball([m.entries for m in s])
         assert rpt.growth == growth
         assert rpt.norms.tolist() == norms
+
+
+@pytest.fixture(scope="module")
+def sl33():
+    return enumerate_group(F3, 3), Reference(3, 3)
+
+
+def test_sl33_enumeration_matches_reference(sl33):
+    table, ref = sl33
+    assert table.keys.tolist() == ref.keys()
+
+
+def test_sl33_ball_matches_reference(sl33):
+    # the reference's class partition is O(|G|^2), so only one ball is compared here
+    table, ref = sl33
+    e13 = ((1, 0, 1), (0, 1, 0), (0, 0, 1))
+    rpt = ball_bfs(table, [MatrixSL(3, F3, e13)])
+    growth, norms = ref.ball([e13])
+    assert rpt.growth == growth
+    assert rpt.norms.tolist() == norms

@@ -57,6 +57,8 @@ def test_pia_verb(tmp_path, capsys):
 def _spoil(data, how):
     if how == "top-level list":
         return [data]
+    if how == "n = 1":
+        return {"ring": {"kind": "Zmod", "l": 6}, "n": 1, "rows": [["1"]]}
     if how == "rows not a list":
         data["rows"] = 5
     elif how == "ring not an object":
@@ -69,7 +71,8 @@ def _spoil(data, how):
 
 
 @pytest.mark.parametrize(
-    "how", ["rows not a list", "top-level list", "ring not an object", "null entry", "float entry"]
+    "how",
+    ["rows not a list", "top-level list", "ring not an object", "null entry", "float entry", "n = 1"],
 )
 def test_malformed_matrix_json_is_an_input_error(tmp_path, capsys, how):
     data = _spoil(matrix_to_json(elementary(1, 3, 6, 3, Z)), how)
