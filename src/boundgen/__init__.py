@@ -17,7 +17,7 @@ from .factorize import (
     factor_semilocal,
     stable_range_reduce,
 )
-from .hessenberg import HessenbergCert, gcd_reduce_row, to_hessenberg, unicol_to_elementary
+from .hessenberg import HessenbergCert, gcd_reduce_row, to_hessenberg
 from .ideals import (
     Decision,
     ECertificate,
@@ -74,6 +74,5 @@ __all__ = [
     "sigma",
     "stable_range_reduce",
     "to_hessenberg",
-    "unicol_to_elementary",
     "verify_word",
 ]

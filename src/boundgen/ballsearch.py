@@ -225,7 +225,7 @@ def enumerate_group(
     return table
 
 
-def _row_tables(table: FiniteGroupTable, letters: list[tuple]) -> np.ndarray:
+def _row_tables(table: FiniteGroupTable, letters: list[tuple] | np.ndarray) -> np.ndarray:
     """T[lam, r][v, a] = rowkey(lam * v * letters[a] mod q) * q^(n*r).
 
     v runs over the q^n row keys (the row vector sum_c v_c q^c), lam over
@@ -247,7 +247,7 @@ def _row_tables(table: FiniteGroupTable, letters: list[tuple]) -> np.ndarray:
 
 
 def _frontier_levels(
-    table: FiniteGroupTable, letters: list[tuple], budget: int | None = None
+    table: FiniteGroupTable, letters: list[tuple] | np.ndarray, budget: int | None = None
 ) -> tuple[np.ndarray, list[int]]:
     """Level-synchronous BFS from the identity by right multiplication.
 
@@ -474,15 +474,24 @@ class ClassBall:
 
 
 def class_balls(table: FiniteGroupTable) -> list[ClassBall]:
-    """ball_bfs([rep]) for the representative of each nontrivial class, in class order."""
+    """The ball search of [rep] for each nontrivial class rep, in class order.
+
+    Its alphabet conj(rep^{+-1}) is the class of rep and that of rep^{-1},
+    both taken from the partition rather than walked again.
+    """
     id_key = table.identity_key
+    classes = conjugacy_classes(table)
+    class_of = {key: cls for cls in classes for key in cls.keys}
     out = []
-    for cls in conjugacy_classes(table):
+    for cls in classes:
         if cls.rep_key == id_key:
             continue
         rep = table.matrix_at(table.index_of_key(cls.rep_key))
-        rpt = ball_bfs(table, [rep])
-        out.append(ClassBall(cls, rep, rpt.normally_generates, rpt.diameter))
+        keys = set(cls.keys).union(class_of[table.key_of(rep.inv().entries)].keys)
+        letters = table.decode(np.array(sorted(keys), dtype=np.int64))
+        _, growth = _frontier_levels(table, letters)
+        generates = growth[-1] == table.order
+        out.append(ClassBall(cls, rep, generates, len(growth) - 1 if generates else None))
     return out
 
 

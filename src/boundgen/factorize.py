@@ -9,20 +9,32 @@ elementary matrices:
 * stable_range_reduce: reduces SL(n) to a base factorizer for SL(m) at a
   cost of 4 letters per peeled dimension.
 * factor_euclid: unbounded Euclidean row reduction over Z, witness only.
+
+The first two share one peel step: (1 y; 0 B) costs the letters of B plus
+one letter for y, since a unipotent whose off-diagonal part is one row (or
+column) v is conjugate to E_{1,n}(gcd v).  `ideals` uses the column case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadIndex, BadIndices, BaseFactorizerFailed, UnsupportedRing
-from .hessenberg import _embed, gcd_reduce_col, gcd_reduce_row, to_hessenberg
+from .errors import (
+    BadIndex,
+    BadIndices,
+    BaseFactorizerFailed,
+    SelfCheckFailed,
+    UnsupportedRing,
+)
+from .hessenberg import gcd_reduce_col, gcd_reduce_row, to_hessenberg
 from .matrices import (
     ElemSpec,
     MatrixSL,
     as_elementary,
     elementary,
+    embed_block,
     identity,
+    identity_with,
     sigma,
 )
 from .rings import RingSpec, inv_unit, is_unit, unit_shift, xgcd
@@ -109,15 +121,12 @@ def elem_conjugacy_normalize(i: int, j: int, n: int, ring: RingSpec) -> MatrixSL
         cj = n
     probe = norm * elementary(i, j, 1, n, ring) * norm.inv()
     spec = as_elementary(probe)
-    assert spec is not None and (spec.i, spec.j) == (1, n)
-    if spec.x != ring.normalize(1):
-        rows = [[0] * n for _ in range(n)]
-        for k in range(n):
-            rows[k][k] = -1 if k < 2 else 1
-        norm = MatrixSL(n, ring, tuple(tuple(r) for r in rows)) * norm
+    if spec is not None and (spec.i, spec.j) == (1, n) and spec.x != ring.normalize(1):
+        norm = identity_with(n, ring, {(1, 1): -1, (2, 2): -1}) * norm
         probe = norm * elementary(i, j, 1, n, ring) * norm.inv()
         spec = as_elementary(probe)
-    assert spec == ElemSpec(1, n, ring.normalize(1)), "normalization probe failed"
+    if spec != ElemSpec(1, n, ring.normalize(1)):
+        raise SelfCheckFailed("normalization probe failed")
     return norm
 
 
@@ -166,7 +175,7 @@ def unipotent_row_to_elementary(
         v_inv = identity(n, ring)
     else:
         t, w0 = gcd_reduce_row(v, ring)
-        v_inv = _embed([list(r) for r in w0.entries], coords, n, ring)
+        v_inv = embed_block(w0, coords, n)
     conj = v_inv.inv()
     j0 = coords[0]
     if n >= 3 and (k, j0) != (1, n):
@@ -174,11 +183,9 @@ def unipotent_row_to_elementary(
         target = elementary(1, n, t, n, ring)
     else:
         target = elementary(k, j0, t, n, ring)
-    source_rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    for c in range(n):
-        source_rows[k - 1][c] = ring.normalize(source_rows[k - 1][c] + w[c])
-    source = MatrixSL(n, ring, tuple(tuple(r) for r in source_rows))
-    assert conj * source * conj.inv() == target, "row unipotent normalization failed"
+    source = identity_with(n, ring, {(k, j): w[j - 1] for j in coords})
+    if conj * source * conj.inv() != target:
+        raise SelfCheckFailed("row unipotent normalization failed")
     return t, conj, target
 
 
@@ -198,18 +205,16 @@ def unipotent_col_to_elementary(
         conj = identity(n, ring)
     else:
         t, q0 = gcd_reduce_col(v, ring)
-        conj = _embed([list(r) for r in q0.entries], coords, n, ring)
+        conj = embed_block(q0, coords, n)
     i0 = coords[0]
     if n >= 3 and (i0, k) != (1, n):
         conj = elem_conjugacy_normalize(i0, k, n, ring) * conj
         target = elementary(1, n, t, n, ring)
     else:
         target = elementary(i0, k, t, n, ring)
-    source_rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    for r in range(n):
-        source_rows[r][k - 1] = ring.normalize(source_rows[r][k - 1] + u[r])
-    source = MatrixSL(n, ring, tuple(tuple(r) for r in source_rows))
-    assert conj * source * conj.inv() == target, "column unipotent normalization failed"
+    source = identity_with(n, ring, {(i, k): u[i - 1] for i in coords})
+    if conj * source * conj.inv() != target:
+        raise SelfCheckFailed("column unipotent normalization failed")
     return t, conj, target
 
 
@@ -253,19 +258,8 @@ def _semilocal_letters(a: MatrixSL) -> list[_RawLetter]:
     umat = elementary(1, 2, u, n, ring) if u != 0 else identity(n, ring)
     c = umat * b * umat.inv()
     d = elementary(2, 1, ring.neg(b21), n, ring) * c
-    assert d[1, 1] == ring.normalize(1) and all(d[r, 1] == 0 for r in range(2, n + 1))
-
-    q = MatrixSL(
-        n - 1,
-        ring,
-        tuple(tuple(d.entries[r][c2] for c2 in range(1, n)) for r in range(1, n)),
-    )
     inner: list[_RawLetter] = [(elementary(2, 1, b21, n, ring), 1, identity(n, ring))]
-    inner += _shift_letters(_semilocal_letters(q), n, ring)
-    y = [0] + [d[1, c2] for c2 in range(2, n + 1)]
-    if any(v != 0 for v in y):
-        _, cv, tgt = unipotent_row_to_elementary(1, y, n, ring)
-        inner.append((tgt, 1, cv.inv()))
+    inner += _peel(d, _semilocal_letters)
 
     seq: list[_RawLetter] = []
     if x != 0:
@@ -276,14 +270,24 @@ def _semilocal_letters(a: MatrixSL) -> list[_RawLetter]:
     return [(mat, exp, pinv * conj) for mat, exp, conj in seq]
 
 
-def _shift_letters(letters: list[_RawLetter], n: int, ring: RingSpec) -> list[_RawLetter]:
-    """Embed letters from SL(n-1) into SL(n) at the lower-right block."""
-    out = []
-    for mat, exp, conj in letters:
-        spec = as_elementary(mat)
-        shifted = elementary(spec.i + 1, spec.j + 1, spec.x, n, ring)
-        emb = _embed([list(r) for r in conj.entries], list(range(2, n + 1)), n, ring)
-        out.append((shifted, exp, emb))
+def _peel(d: MatrixSL, factor_block) -> list[_RawLetter]:
+    """Letters for d = (1 y; 0 B): factor_block(B) embedded in the
+    lower-right block, then one conjugated elementary letter for the row y.
+    """
+    n = d.n
+    ring = d.ring
+    if d[1, 1] != ring.normalize(1) or any(d[r, 1] != 0 for r in range(2, n + 1)):
+        raise SelfCheckFailed("peel step needs a first column e_1")
+    block = MatrixSL(n - 1, ring, tuple(row[1:] for row in d.entries[1:]))
+    coords = range(2, n + 1)
+    out = [
+        (embed_block(mat, coords, n), exp, embed_block(conj, coords, n))
+        for mat, exp, conj in factor_block(block)
+    ]
+    y = [0, *d.entries[0][1:]]
+    if any(v != 0 for v in y):
+        _, cv, tgt = unipotent_row_to_elementary(1, y, n, ring)
+        out.append((tgt, 1, cv.inv()))
     return out
 
 
@@ -326,26 +330,13 @@ def _stable_letters(a: MatrixSL, m: int, base) -> list[_RawLetter]:
     alpha, beta = h[1, 1], h[2, 1]
     g, s, t = xgcd(alpha, beta, ring)
     # first column of a determinant-1 matrix is unimodular; canonical gcd is 1
-    assert ring.normalize(g) == ring.normalize(1), "first column not unimodular"
+    if ring.normalize(g) != ring.normalize(1):
+        raise SelfCheckFailed("first column not unimodular")
 
-    f3 = _two_entry_unipotent(3, {1: s, 2: t}, n, ring)
+    f3 = identity_with(n, ring, {(3, 1): s, (3, 2): t})
     f2 = elementary(1, 3, ring.sub(1, alpha), n, ring)
-    f1 = _col_unipotent(1, {2: ring.neg(beta), 3: ring.normalize(-1)}, n, ring)
-    gmat = f1 * f2 * f3 * h
-    assert gmat[1, 1] == ring.normalize(1) and all(
-        gmat[r, 1] == 0 for r in range(2, n + 1)
-    ), "stable-range row operations failed to clear the first column"
-
-    bsub = MatrixSL(
-        n - 1,
-        ring,
-        tuple(tuple(gmat.entries[r][c] for c in range(1, n)) for r in range(1, n)),
-    )
-    inner: list[_RawLetter] = _shift_letters(_stable_letters(bsub, m, base), n, ring)
-    y = [0] + [gmat[1, c] for c in range(2, n + 1)]
-    if any(v != 0 for v in y):
-        _, cv, tgt = unipotent_row_to_elementary(1, y, n, ring)
-        inner.append((tgt, 1, cv.inv()))
+    f1 = identity_with(n, ring, {(2, 1): ring.neg(beta), (3, 1): -1})
+    inner = _peel(f1 * f2 * f3 * h, lambda b: _stable_letters(b, m, base))
 
     seq: list[_RawLetter] = []
     # h = F3^{-1} F2^{-1} F1^{-1} (F T)
@@ -362,20 +353,6 @@ def _stable_letters(a: MatrixSL, m: int, base) -> list[_RawLetter]:
     seq += inner
     pinv = p.inv()
     return [(mat, exp, pinv * conj) for mat, exp, conj in seq]
-
-
-def _two_entry_unipotent(row: int, entries: dict[int, int], n: int, ring: RingSpec) -> MatrixSL:
-    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    for col, val in entries.items():
-        rows[row - 1][col - 1] = ring.normalize(val)
-    return MatrixSL(n, ring, tuple(tuple(r) for r in rows))
-
-
-def _col_unipotent(col: int, entries: dict[int, int], n: int, ring: RingSpec) -> MatrixSL:
-    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    for row, val in entries.items():
-        rows[row - 1][col - 1] = ring.normalize(val)
-    return MatrixSL(n, ring, tuple(tuple(r) for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +382,8 @@ def factor_euclid(a: MatrixSL) -> ElemFactorization:
     for c in range(n):
         while True:
             nz = [r for r in range(c, n) if work[r][c] != 0]
-            assert nz, "determinant-1 block lost its pivot column"
+            if not nz:
+                raise SelfCheckFailed("determinant-1 block lost its pivot column")
             if len(nz) == 1:
                 r0 = nz[0]
                 v = work[r0][c]
@@ -413,9 +391,11 @@ def factor_euclid(a: MatrixSL) -> ElemFactorization:
                     apply(c, r0, 1)
                     apply(r0, c, -1)
                     continue
-                assert abs(v) == 1, "single survivor must be a unit"
+                if abs(v) != 1:
+                    raise SelfCheckFailed("single survivor must be a unit")
                 if v == -1:
-                    assert c < n - 1, "last pivot is fixed by the determinant"
+                    if c == n - 1:
+                        raise SelfCheckFailed("last pivot is fixed by the determinant")
                     apply(c + 1, c, 1)
                     apply(c, c + 1, -2)
                     apply(c + 1, c, 1)
@@ -430,9 +410,8 @@ def factor_euclid(a: MatrixSL) -> ElemFactorization:
     for c in range(n - 1, 0, -1):
         for r in range(c):
             apply(r, c, -work[r][c])
-    assert all(
-        work[r][c] == (1 if r == c else 0) for r in range(n) for c in range(n)
-    ), "row reduction did not reach the identity"
+    if not all(work[r][c] == (1 if r == c else 0) for r in range(n) for c in range(n)):
+        raise SelfCheckFailed("row reduction did not reach the identity")
 
     # (E_k ... E_1) A = I, so A = E_1^{-1} E_2^{-1} ... E_k^{-1}
     ident = identity(n, a.ring)

@@ -1,6 +1,6 @@
-"""Constructive reduction lemmas: unimodular-row gcd reduction, conjugation
-to upper Hessenberg form, and conjugating a one-column unipotent matrix to a
-single elementary matrix.
+"""Constructive reduction lemmas: unimodular-row gcd reduction and
+conjugation to upper Hessenberg form.  Conjugating a one-row or one-column
+unipotent matrix to a single elementary matrix lives in `factorize`.
 
 The gcd reduction builds the transforming matrix from a left-to-right chain
 of embedded 2x2 Bezout blocks computed on integer lifts.  Over Z/l the
@@ -13,19 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadIndex, NotHessenberg
-from .matrices import MatrixSL, elementary, identity, sigma
+from .errors import BadIndex, NotHessenberg, SelfCheckFailed
+from .matrices import MatrixSL, embed_block, identity
 from .rings import RingSpec, associate_unit, gcd_many, inv_unit
 from .rings import _int_xgcd  # integer Bezout chain on lifts
-
-
-def _embed(block_rows: list[list[int]], coords: list[int], n: int, ring: RingSpec) -> MatrixSL:
-    """Place an m x m block at the given 1-based coordinates of an n x n identity."""
-    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    for r, cr in enumerate(coords):
-        for c, cc in enumerate(coords):
-            rows[cr - 1][cc - 1] = block_rows[r][c]
-    return MatrixSL(n, ring, tuple(tuple(r) for r in rows))
 
 
 def gcd_reduce_row(a, ring: RingSpec) -> tuple[int, MatrixSL]:
@@ -71,7 +62,8 @@ def gcd_reduce_row(a, ring: RingSpec) -> tuple[int, MatrixSL]:
     mat = MatrixSL(n, ring, rows)
     # invariant: a * A = (t, 0, ..., 0) exactly
     prod = [ring.normalize(sum(a[r] * mat.entries[r][c] for r in range(n))) for c in range(n)]
-    assert prod[0] == t_want and all(x == 0 for x in prod[1:]), "row reduction failed"
+    if not (prod[0] == t_want and all(x == 0 for x in prod[1:])):
+        raise SelfCheckFailed("row reduction failed")
     return t_want, mat
 
 
@@ -131,42 +123,8 @@ def to_hessenberg(m: MatrixSL) -> HessenbergCert:
         if all(x == 0 for x in tail[1:]):
             continue
         _, q0 = gcd_reduce_col(tail, ring)
-        coords = list(range(c + 1, n + 1))
-        pc = _embed([list(r) for r in q0.entries], coords, n, ring)
+        pc = embed_block(q0, range(c + 1, n + 1), n)
         cur = pc * cur * pc.inv()
         p_total = pc * p_total
     return HessenbergCert(m, cur, p_total)
 
-
-def unicol_to_elementary(
-    a, k: int, n: int, ring: RingSpec
-) -> tuple[int, MatrixSL]:
-    """(t, C) with C * (I + sum a_i e_{i,k}) * C^{-1} = E_{1,n}(t).
-
-    a = (a_1, ..., a_{k-1}) sits above the diagonal in column k; t generates
-    the gcd ideal of a (canonical whenever a reduction step runs).  C is the
-    embedded column gcd block, composed with sigma_{n,k} when k != n.
-    """
-    if not 2 <= k <= n:
-        raise BadIndex(f"column index k={k} outside 2..{n}")
-    a = [ring.normalize(x) for x in a]
-    if len(a) != k - 1:
-        raise BadIndex("expected k-1 column entries")
-    if all(x == 0 for x in a):
-        return 0, identity(n, ring)
-    if all(x == 0 for x in a[1:]):
-        t, b = a[0], identity(n, ring)
-    else:
-        t, d0 = gcd_reduce_col(a, ring)
-        b = _embed([list(r) for r in d0.entries], list(range(1, k)), n, ring)
-    c = b if k == n else sigma(n, k, n, ring) * b
-    source = _unicol_matrix(a, k, n, ring)
-    assert c * source * c.inv() == elementary(1, n, t, n, ring), "unicol conjugation failed"
-    return t, c
-
-
-def _unicol_matrix(a, k: int, n: int, ring: RingSpec) -> MatrixSL:
-    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    for i, x in enumerate(a):
-        rows[i][k - 1] = ring.normalize(x)
-    return MatrixSL(n, ring, tuple(tuple(r) for r in rows))

@@ -16,13 +16,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import BadIndices, NotHessenberg, PreconditionViolated, UnsupportedRing
-from .factorize import elem_conjugacy_normalize
-from .hessenberg import is_upper_hessenberg, to_hessenberg, unicol_to_elementary
+from .errors import (
+    BadIndices,
+    NotHessenberg,
+    PreconditionViolated,
+    SelfCheckFailed,
+    UnsupportedRing,
+)
+from .factorize import elem_conjugacy_normalize, unipotent_col_to_elementary
+from .hessenberg import is_upper_hessenberg, to_hessenberg
 from .matrices import (
     MatrixSL,
     elementary,
     identity,
+    identity_with,
     is_scalar,
     as_elementary,
     reduce_ring,
@@ -80,21 +87,13 @@ def double_commutator(
     b = a.inv()
     x = ring.normalize(x)
 
-    # closed form: column l of the identity gets an increment vector
-    col_i = a.col(i)
-    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    if j != k:
-        coef = b[j, k]
-        for r in range(n):
-            rows[r][l - 1] = ring.normalize(rows[r][l - 1] + x * coef * col_i[r])
-    else:
-        coef = ring.sub(b[j, j], b[j, i])
-        for r in range(n):
-            inc = x * coef * col_i[r]
-            if r == i - 1:
-                inc -= x
-            rows[r][l - 1] = ring.normalize(rows[r][l - 1] + inc)
-    closed = MatrixSL(n, ring, tuple(tuple(r) for r in rows))
+    # closed form: column l of the identity gets the increment x * coef * a_{.,i},
+    # less x e_i when j == k; its diagonal entry a_{l,i} is 0
+    coef = b[j, k] if j != k else ring.sub(b[j, j], b[j, i])
+    inc = {(r, l): x * coef * a[r, i] for r in range(1, n + 1) if r != l}
+    if j == k:
+        inc[i, l] -= x
+    closed = identity_with(n, ring, inc)
 
     e1 = elementary(i, j, 1, n, ring)
     e2 = elementary(k, l, x, n, ring)
@@ -178,7 +177,10 @@ def hessenberg_ideal(a: MatrixSL, i: int, l: int, j: int) -> ECertificate:
             val = ring.sub(val, 1)
         u.append(val)
     assert all(v == 0 for v in u[l - 1:]), "Hessenberg tail not zero"
-    t_u, conj_c = unicol_to_elementary(u[: l - 1], l, n, ring)
+    if any(v != 0 for v in u):
+        t_u, conj_c, _ = unipotent_col_to_elementary(l, u, n, ring)
+    else:  # u = 0 (a scalar input, say): the zero ideal, with the identity conjugator
+        t_u, conj_c = 0, identity(n, ring)
 
     genset = GenSet((a,))
 
@@ -525,7 +527,8 @@ def decide_normal_generation(s: GenSet, assume_el_generates: bool = True) -> Dec
         terms.append((value, coeff, realizer.kind))
     word = concat(*pieces) if pieces else ConjWord.empty()
     verify_word(word, s, elementary(1, n, 1, n, ring))
-    assert len(word) <= 4 * len(s.elements) * (n + 1), "certificate exceeds 4k(n+1)"
+    if len(word) > 4 * len(s.elements) * (n + 1):
+        raise SelfCheckFailed("certificate exceeds 4k(n+1)")
     return Decision(
         True,
         certificate=word,

@@ -21,7 +21,7 @@ from .ballsearch import (
     enumerate_group,
     normal_generation,
 )
-from .matrices import MatrixSL, elementary, reduce_ring
+from .matrices import MatrixSL, elementary, embed_block, reduce_ring
 from .rings import RingSpec
 from .witness import class_size_lower
 
@@ -90,12 +90,8 @@ def product_table(factor_gens: list[list[MatrixSL]], ring: RingSpec) -> FiniteGr
     gens: list[MatrixSL] = []
     offset = 0
     for gen_list, dim in zip(factor_gens, dims):
-        for g in gen_list:
-            rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-            for r in range(dim):
-                for c in range(dim):
-                    rows[offset + r][offset + c] = g.entries[r][c]
-            gens.append(MatrixSL(n, ring, tuple(tuple(r) for r in rows)))
+        coords = range(offset + 1, offset + dim + 1)
+        gens += [embed_block(g, coords, n) for g in gen_list]
         offset += dim
     return enumerate_group(ring, n, gens=gens)
 

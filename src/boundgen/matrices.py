@@ -8,7 +8,9 @@ uniformly over Z, Z/l and F_p.
 
 Products of entry grids go through one private routine, `_mul_entries`,
 which serves both `MatrixSL.__mul__` and the conjugation walks of
-`ballsearch` over its plain tuple matrices.
+`ballsearch` over its plain tuple matrices.  Built matrices (identity,
+elementary, signed transpositions, unipotents, block embeddings) all start
+from one constructor, `identity_with`.
 """
 
 from __future__ import annotations
@@ -194,10 +196,25 @@ class ElemSpec:
     x: int
 
 
-def identity(n: int, ring: RingSpec) -> MatrixSL:
-    return MatrixSL(
-        n, ring, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+def identity_with(n: int, ring: RingSpec, entries: dict[tuple[int, int], int]) -> MatrixSL:
+    """The n x n identity with the given 1-based (i, j) -> x entries set."""
+    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+    for (i, j), x in entries.items():
+        rows[i - 1][j - 1] = x
+    return MatrixSL(n, ring, tuple(map(tuple, rows)))
+
+
+def embed_block(block: MatrixSL, coords, n: int) -> MatrixSL:
+    """block placed at the given 1-based coordinates of the n x n identity."""
+    return identity_with(
+        n,
+        block.ring,
+        {(ci, cj): x for ci, row in zip(coords, block.entries) for cj, x in zip(coords, row)},
     )
+
+
+def identity(n: int, ring: RingSpec) -> MatrixSL:
+    return identity_with(n, ring, {})
 
 
 def elem(spec: ElemSpec, n: int, ring: RingSpec) -> MatrixSL:
@@ -205,9 +222,7 @@ def elem(spec: ElemSpec, n: int, ring: RingSpec) -> MatrixSL:
     i, j, x = spec.i, spec.j, spec.x
     if not (1 <= i <= n and 1 <= j <= n) or i == j:
         raise BadIndex(f"elementary index ({i},{j}) invalid for n={n}")
-    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    rows[i - 1][j - 1] = ring.normalize(x)
-    return MatrixSL(n, ring, tuple(tuple(r) for r in rows))
+    return identity_with(n, ring, {(i, j): x})
 
 
 def elementary(i: int, j: int, x: int, n: int, ring: RingSpec) -> MatrixSL:
@@ -219,13 +234,7 @@ def sigma(i: int, j: int, n: int, ring: RingSpec) -> MatrixSL:
     """The signed transposition sigma_{i,j}; sigma_{i,j}^{-1} = sigma_{j,i}."""
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise BadIndex(f"sigma index ({i},{j}) invalid for n={n}")
-    rows = [[0] * n for _ in range(n)]
-    rows[i - 1][j - 1] = 1
-    rows[j - 1][i - 1] = -1
-    for k in range(n):
-        if k not in (i - 1, j - 1):
-            rows[k][k] = 1
-    return MatrixSL(n, ring, tuple(tuple(r) for r in rows))
+    return identity_with(n, ring, {(i, i): 0, (j, j): 0, (i, j): 1, (j, i): -1})
 
 
 def commutator(a: MatrixSL, b: MatrixSL) -> MatrixSL:

@@ -197,10 +197,6 @@ class RingSpec:
         return self.kind == KIND_Z
 
     @property
-    def is_finite(self) -> bool:
-        return self.kind != KIND_Z
-
-    @property
     def has_finitely_many_maximal_ideals(self) -> bool:
         return self.maximal_ideals is not None
 

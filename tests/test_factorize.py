@@ -10,9 +10,9 @@ from boundgen.factorize import (
     unipotent_col_to_elementary,
     unipotent_row_to_elementary,
 )
-from boundgen.matrices import MatrixSL, elementary, identity
+from boundgen.matrices import MatrixSL, elementary, identity, identity_with
 from boundgen.rand import SplitMix64
-from boundgen.rings import RingSpec
+from boundgen.rings import IdealGen, RingSpec, gcd_many
 from boundgen.words import eval_word
 from tests.test_matrices import rand_sl
 
@@ -47,6 +47,28 @@ def test_elem_as_two():
         assert eval_word(w, gens) == elementary(i, j, x, n, Z)
 
 
+def unipotent_sweep(seed):
+    """(ring, n, k, v) with v[k-1] = 0 and v nonzero: Z and Z/12, n = 3..5, every k."""
+    rng = SplitMix64(seed)
+    for ring in (Z, Z12):
+        hi = ring.modulus - 1 if ring.modulus else 30
+        lo = 0 if ring.modulus else -30
+        for n in range(3, 6):
+            for k in range(1, n + 1):
+                done = 0
+                while done < 12:
+                    v = [0 if r == k - 1 else rng.randint(lo, hi) for r in range(n)]
+                    if any(ring.normalize(x) != 0 for x in v):
+                        done += 1
+                        yield ring, n, k, v
+
+
+def check_unipotent(ring, n, v, t, c, tgt, src):
+    assert c * src * c.inv() == tgt
+    assert tgt == elementary(1, n, t, n, ring)
+    assert IdealGen(t, ring) == IdealGen(gcd_many(v, ring), ring)
+
+
 def test_unipotent_row():
     t, c, tgt = unipotent_row_to_elementary(1, [0, 3, 6], 3, Z)
     rows = ((1, 3, 6), (0, 1, 0), (0, 0, 1))
@@ -54,6 +76,10 @@ def test_unipotent_row():
     assert c * src * c.inv() == tgt
     with pytest.raises(BadIndex):
         unipotent_row_to_elementary(1, [0, 0, 0], 3, Z)
+    for ring, n, k, w in unipotent_sweep(103):
+        t, c, tgt = unipotent_row_to_elementary(k, w, n, ring)
+        src = identity_with(n, ring, {(k, j): w[j - 1] for j in range(1, n + 1) if j != k})
+        check_unipotent(ring, n, w, t, c, tgt, src)
 
 
 def test_unipotent_col():
@@ -61,6 +87,10 @@ def test_unipotent_col():
     rows = ((1, 0, 0), (4, 1, 0), (10, 0, 1))
     src = MatrixSL(3, Z, rows)
     assert c * src * c.inv() == tgt
+    for ring, n, k, u in unipotent_sweep(107):
+        t, c, tgt = unipotent_col_to_elementary(k, u, n, ring)
+        src = identity_with(n, ring, {(i, k): u[i - 1] for i in range(1, n + 1) if i != k})
+        check_unipotent(ring, n, u, t, c, tgt, src)
 
 
 def test_semilocal_trivial_cases():

@@ -1,10 +1,14 @@
+import pytest
+
+from boundgen.errors import BadIndex
+from boundgen.factorize import unipotent_col_to_elementary
 from boundgen.hessenberg import (
     gcd_reduce_col,
     gcd_reduce_row,
     is_upper_hessenberg,
     to_hessenberg,
-    unicol_to_elementary,
 )
+from boundgen.ideals import hessenberg_ideal
 from boundgen.matrices import MatrixSL, elementary, identity
 from boundgen.rand import SplitMix64
 from boundgen.rings import IdealGen, RingSpec, gcd_many
@@ -128,17 +132,25 @@ def unicol_matrix(a, k, n, ring):
     return MatrixSL(n, ring, tuple(tuple(r) for r in rows))
 
 
+def unicol(a, k, n, ring):
+    """The column lemma on a = (a_1, ..., a_{k-1}) above the diagonal of column k."""
+    return unipotent_col_to_elementary(k, list(a) + [0] * (n - k + 1), n, ring)
+
+
 def test_unicol_examples():
-    t, c = unicol_to_elementary([2, 4], 3, 3, Z)
-    assert t == 2
+    t, c, tgt = unicol([2, 4], 3, 3, Z)
+    assert t == 2 and tgt == elementary(1, 3, 2, 3, Z)
     src = unicol_matrix([2, 4], 3, 3, Z)
     assert c * src * c.inv() == elementary(1, 3, 2, 3, Z)
 
-    t, c = unicol_to_elementary([7, 0, 0], 4, 4, Z)
+    t, c, _ = unicol([7, 0, 0], 4, 4, Z)
     assert t == 7 and c.is_identity()
 
-    t, c = unicol_to_elementary([0, 0], 3, 3, Z)
-    assert t == 0
+    # a zero column has no elementary form; the certificate that meets one
+    # (a scalar input) keeps t = 0 with the identity conjugator
+    with pytest.raises(BadIndex):
+        unicol([0, 0], 3, 3, Z)
+    assert hessenberg_ideal(identity(3, Z), 1, 3, 2).scale == 0
 
 
 def test_unicol_random():
@@ -150,7 +162,11 @@ def test_unicol_random():
             n = rng.randint(3, 5)
             k = rng.randint(2, n)
             a = [rng.randint(lo, hi) for _ in range(k - 1)]
-            t, c = unicol_to_elementary(a, k, n, ring)
+            if all(ring.normalize(x) == 0 for x in a):
+                with pytest.raises(BadIndex):
+                    unicol(a, k, n, ring)
+                continue
+            t, c, tgt = unicol(a, k, n, ring)
             src = unicol_matrix(a, k, n, ring)
-            assert c * src * c.inv() == elementary(1, n, t, n, ring)
+            assert c * src * c.inv() == tgt == elementary(1, n, t, n, ring)
             assert IdealGen(t, ring) == IdealGen(gcd_many(a, ring), ring)
