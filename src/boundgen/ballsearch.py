@@ -427,7 +427,7 @@ def backtrack_word(report: BallReport, target: MatrixSL) -> ConjWord:
                 cur = prev
                 break
         else:  # pragma: no cover
-            raise AssertionError("BFS level structure is inconsistent")
+            raise SelfCheckFailed("BFS level structure is inconsistent")
     letters.reverse()
     return ConjWord(tuple(letters))
 

@@ -7,7 +7,7 @@ instances, so a report (seed included) pins down the exact inputs checked.
 
 from __future__ import annotations
 
-from .errors import NotApplicable
+from .errors import NotApplicable, SelfCheckFailed
 from .ideals import double_commutator
 from .matrices import (
     ElemSpec,
@@ -93,7 +93,7 @@ def run_double_commutator_suite(
             x = rng.randint(0, ring.modulus - 1)
         mat, word = double_commutator(a, i, j, k, l, x)
         if eval_word(word, GenSet((a,))) != mat:
-            raise AssertionError("double commutator word does not replay")
+            raise SelfCheckFailed("double commutator word does not replay")
         checked += 1
     return {"suite": "double_commutator", "ring": str(ring), "trials": checked, "seed": seed}
 
@@ -118,7 +118,7 @@ def run_steinberg_suite(trials: int, seed: int, dims=(3, 4, 5)) -> dict:
             continue
         expected = identity(n, ring) if sym is None else elem(sym, n, ring)
         if expected != exact:
-            raise AssertionError(f"Steinberg mismatch at {e1}, {e2}")
+            raise SelfCheckFailed(f"Steinberg mismatch at {e1}, {e2}")
         applicable += 1
     return {
         "suite": "steinberg",
@@ -146,7 +146,7 @@ def run_sigma_suite(trials: int, seed: int, dims=(3, 4, 5)) -> dict:
         i, j = _rand_pos(rng, n)
         s = sigma(i, j, n, ring)
         if s * sigma(j, i, n, ring) != identity(n, ring):
-            raise AssertionError("sigma inverse relation fails")
+            raise SelfCheckFailed("sigma inverse relation fails")
     return {"suite": "sigma", "trials": trials, "seed": seed}
 
 

@@ -61,9 +61,9 @@ class ElemFactorization:
     def verify(self) -> None:
         for g in self.genset.elements:
             if as_elementary(g) is None:
-                raise AssertionError("generating set contains a non-elementary matrix")
+                raise SelfCheckFailed("generating set contains a non-elementary matrix")
         if self.bound_claim is not None and len(self.word) > self.bound_claim:
-            raise AssertionError(
+            raise SelfCheckFailed(
                 f"word length {len(self.word)} exceeds claim {self.bound_claim}"
             )
         verify_word(self.word, self.genset, self.target)

@@ -100,7 +100,7 @@ def double_commutator(
     inner_mat = a * e1 * b * e1.inv()  # [A, E_{i,j}(1)]
     direct = inner_mat * e2 * inner_mat.inv() * e2.inv()
     if closed != direct:
-        raise AssertionError("double commutator closed form disagrees with product")
+        raise SelfCheckFailed("double commutator closed form disagrees with product")
 
     # [A,E] = A * (E A^{-1} E^{-1}) is two conjugates of A^{+-1};
     # commutating with E_{k,l}(x) appends the conjugated inverse word
@@ -141,7 +141,7 @@ class ECertificate:
     def verify(self, x: int) -> None:
         w = self.builder(x)
         if len(w) != self.depth:
-            raise AssertionError(f"certificate word has {len(w)} letters != {self.depth}")
+            raise SelfCheckFailed(f"certificate word has {len(w)} letters != {self.depth}")
         verify_word(w, self.genset, self.target_for(x))
 
 
@@ -549,5 +549,5 @@ def _bezout_chain(values: list[int], ring: RingSpec) -> list[int]:
         coeffs = [ring.mul(c, sl) for c in coeffs] + [tr]
         g = g2
     if ring.normalize(g) != ring.normalize(1):
-        raise AssertionError("Bezout fold did not reach the unit ideal")
+        raise SelfCheckFailed("Bezout fold did not reach the unit ideal")
     return coeffs

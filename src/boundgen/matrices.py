@@ -2,9 +2,12 @@
 
 Matrices are value types: entries are tuples of canonical ring elements and
 the determinant-1 invariant is checked at construction, so every MatrixSL in
-the system is a genuine element of SL(n, R).  The inverse is computed by the
-adjugate, which is division-free because det = 1 and therefore works
-uniformly over Z, Z/l and F_p.
+the system is a genuine element of SL(n, R).  Products, inverses and
+transposes skip the per-entry normalisation of the public constructor but
+not that check.  The inverse is one fraction-free Gauss-Jordan pass over the
+integer lifts, which works uniformly over Z, Z/l and F_p.  Inverses and
+products are memoised by value (the ring is part of the key), and the
+identity is built once per (n, ring).
 
 Products of entry grids go through one private routine, `_mul_entries`,
 which serves both `MatrixSL.__mul__` and the conjugation walks of
@@ -16,6 +19,7 @@ from one constructor, `identity_with`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 
 from .errors import (
@@ -27,8 +31,10 @@ from .errors import (
 )
 from .rings import RingSpec
 
-# adjugate cost grows fast and reports become unreadable beyond this
+# elimination cost grows fast and reports become unreadable beyond this
 MAX_DIM = 16
+# values kept by each memo (inverses, products, identities)
+_MEMO_SIZE = 1024
 
 
 def _det_int(rows) -> int:
@@ -81,49 +87,26 @@ class MatrixSL:
     def __post_init__(self):
         if self.n < 1 or self.n > MAX_DIM:
             raise DimMismatch(f"dimension {self.n} outside 1..{MAX_DIM}")
-        if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
-            raise DimMismatch("entry grid does not match dimension")
-        norm = tuple(
-            tuple(self.ring.normalize(x) for x in row) for row in self.entries
-        )
+        norm = tuple(tuple(map(self.ring.normalize, row)) for row in self.entries)
         object.__setattr__(self, "entries", norm)
-        d = _det_int([list(r) for r in norm])
-        if self.ring.normalize(d) != self.ring.normalize(1):
-            raise DeterminantNotOne(f"determinant {d} != 1 over {self.ring}")
+        _check_sl(self.n, self.ring, norm)
 
     # -- arithmetic --------------------------------------------------------
 
     def __mul__(self, other: "MatrixSL") -> "MatrixSL":
         _check_compat(self, other)
-        rows = _mul_entries(self.entries, other.entries, self.ring.modulus)
-        return _raw(self.n, self.ring, rows)
+        return _product(self, other)
 
     def inv(self) -> "MatrixSL":
-        """Inverse via the adjugate; exact since det = 1."""
-        n = self.n
-        ring = self.ring
-        a = [list(r) for r in self.entries]
-        adj = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = [
-                    [a[r][c] for c in range(n) if c != j]
-                    for r in range(n) if r != i
-                ]
-                sign = -1 if (i + j) % 2 else 1
-                adj[j][i] = ring.normalize(sign * (_det_int(minor) if n > 1 else 1))
-        return _raw(n, ring, tuple(tuple(r) for r in adj))
+        """Inverse by a fraction-free Gauss-Jordan pass; memoised by value."""
+        return _inverse(self)
 
     def conj_by(self, h: "MatrixSL") -> "MatrixSL":
         """h * self * h^{-1}."""
         return h * self * h.inv()
 
     def transpose(self) -> "MatrixSL":
-        return _raw(
-            self.n,
-            self.ring,
-            tuple(tuple(self.entries[j][i] for j in range(self.n)) for i in range(self.n)),
-        )
+        return _raw(self.n, self.ring, tuple(zip(*self.entries)))
 
     def __pow__(self, e: int) -> "MatrixSL":
         if e < 0:
@@ -158,13 +141,57 @@ class MatrixSL:
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
 
 
-def _raw(n: int, ring: RingSpec, rows: tuple[tuple[int, ...], ...]) -> MatrixSL:
-    """Internal constructor for products of validated matrices.
+def _check_sl(n: int, ring: RingSpec, rows) -> None:
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise DimMismatch("entry grid does not match dimension")
+    d = _det_int(rows)
+    if ring.normalize(d) != ring.normalize(1):
+        raise DeterminantNotOne(f"determinant {d} != 1 over {ring}")
 
-    Entries must already be canonical; the det check still runs (cheap at the
-    sizes we use) so no unchecked matrix can leak out.
+
+def _raw(n: int, ring: RingSpec, rows: tuple[tuple[int, ...], ...]) -> MatrixSL:
+    """Internal constructor for products, inverses and transposes.
+
+    The entries are trusted to be canonical, so the per-entry normalisation
+    of the public constructor is skipped; the shape and determinant checks
+    still run, so no matrix outside SL(n, ring) can leak out.
     """
-    return MatrixSL(n, ring, rows)
+    _check_sl(n, ring, rows)
+    m = object.__new__(MatrixSL)
+    object.__setattr__(m, "n", n)
+    object.__setattr__(m, "ring", ring)
+    object.__setattr__(m, "entries", rows)
+    return m
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _product(a: MatrixSL, b: MatrixSL) -> MatrixSL:
+    return _raw(a.n, a.ring, _mul_entries(a.entries, b.entries, a.ring.modulus))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _inverse(a: MatrixSL) -> MatrixSL:
+    """Fraction-free (Bareiss) Gauss-Jordan on [A | I] over the integer lifts.
+
+    Every division is exact.  At the end the left half is p * I, where the
+    last pivot p = +-det of the lift is +-1 in the ring and so its own
+    inverse: A^{-1} is the right half times p.
+    """
+    n = a.n
+    m = [list(row) + [int(c == r) for c in range(n)] for r, row in enumerate(a.entries)]
+    prev = 1
+    for k in range(n):
+        if not m[k][k]:
+            r = next(r for r in range(k + 1, n) if m[r][k])
+            m[k], m[r] = m[r], m[k]
+        pivot = m[k]
+        p = pivot[k]
+        for i, row in enumerate(m):
+            if i != k:
+                h = row[k]
+                m[i] = [(p * x - h * y) // prev for x, y in zip(row, pivot)]
+        prev = p
+    return _raw(n, a.ring, tuple(tuple(a.ring.normalize(p * x) for x in row[n:]) for row in m))
 
 
 def _mul_entries(a: tuple, b: tuple, q: int | None) -> tuple:
@@ -213,6 +240,7 @@ def embed_block(block: MatrixSL, coords, n: int) -> MatrixSL:
     )
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def identity(n: int, ring: RingSpec) -> MatrixSL:
     return identity_with(n, ring, {})
 

@@ -22,6 +22,7 @@ from .errors import (
     FactorizationTooLarge,
     NotCoprime,
     NotPrime,
+    SelfCheckFailed,
     UnsupportedRing,
 )
 
@@ -321,7 +322,7 @@ def unit_shift(a: int, b: int, ring: RingSpec) -> int:
             x *= p
     x = ring.normalize(x)
     if not is_unit(ring.add(a, ring.mul(b, x)), ring):
-        raise AssertionError("unit_shift postcondition failed")  # pragma: no cover
+        raise SelfCheckFailed("unit_shift postcondition failed")  # pragma: no cover
     return x
 
 
@@ -384,7 +385,7 @@ def associate_unit(value: int, target: int, ring: RingSpec) -> int:
     x = unit_shift(u0, m, ring)
     u = ring.add(u0, ring.mul(m, x))
     if not (is_unit(u, ring) and ring.mul(u, value) == ring.normalize(target)):
-        raise AssertionError("associate_unit postcondition failed")  # pragma: no cover
+        raise SelfCheckFailed("associate_unit postcondition failed")  # pragma: no cover
     return u
 
 

@@ -101,16 +101,11 @@ def _replay(w: ConjWord, s: GenSet, reject) -> MatrixSL:
     the wrong ring or dimension.
     """
     out = identity(s.n, s.ring)
-    inverses: dict[int, MatrixSL] = {}
     for step, letter in enumerate(w.letters):
         bad_index = not 0 <= letter.gen < len(s)
         if bad_index or letter.conj.ring != s.ring or letter.conj.n != s.n:
             raise reject(step, letter, bad_index)
-        g = s[letter.gen]
-        if letter.exp == -1:
-            if letter.gen not in inverses:
-                inverses[letter.gen] = g.inv()
-            g = inverses[letter.gen]
+        g = s[letter.gen] if letter.exp == 1 else s[letter.gen].inv()
         out = out * (letter.conj * g * letter.conj.inv())
     return out
 

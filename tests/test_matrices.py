@@ -198,3 +198,89 @@ def test_pow(z):
     assert e ** 4 == elementary(1, 2, 12, 3, z)
     assert e ** 0 == identity(3, z)
     assert e ** -2 == elementary(1, 2, -6, 3, z)
+
+
+def _det_ref(a):
+    """Laplace expansion along the first row, in plain integers."""
+    if len(a) == 1:
+        return a[0][0]
+    return sum(
+        (-1) ** j * a[0][j] * _det_ref([row[:j] + row[j + 1:] for row in a[1:]])
+        for j in range(len(a))
+    )
+
+
+def _adjugate_ref(a, ring):
+    n = len(a)
+    return tuple(
+        tuple(
+            ring.normalize(
+                (-1) ** (i + j) * _det_ref([row[:i] + row[i + 1:] for r, row in enumerate(a) if r != j])
+            )
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def _zero_corner_sl(rng, n, ring, bound):
+    """sigma_{1,2} times a matrix with first column e_1: the (1,1) entry is 0."""
+    m = identity(n, ring)
+    for _ in range(2 * n):
+        i, j = rng.sample(range(1, n + 1), 2)
+        if j == 1:
+            i, j = j, i
+        m = m * elementary(i, j, rng.randint(-bound, bound), n, ring)
+    return sigma(1, 2, n, ring) * m
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "ring, bound",
+    [
+        (RingSpec.integers(), 2 ** 70),
+        (RingSpec.residue(12), 11),
+        (RingSpec.residue(6), 5),
+        (RingSpec.residue(4), 3),
+        (RingSpec.prime_field(7), 6),
+    ],
+    ids=["Z", "Z12", "Z6", "Z4", "F7"],
+)
+def test_inverse_matches_adjugate(n, ring, bound):
+    rng = random.Random(2000 * n + (ring.modulus or 0))
+    seen = []
+    for make in (_big_sl, _zero_corner_sl) * 4:
+        a = make(rng, n, ring, bound)
+        # det = 1, so the inverse is the adjugate
+        assert a.inv().entries == _adjugate_ref([list(row) for row in a.entries], ring)
+        seen.extend(v for row in a.entries for v in row)
+        if make is _zero_corner_sl:
+            assert a[1, 1] == 0
+    if ring.is_integers:
+        assert max(seen) > 2 ** 64 and min(seen) < -(2 ** 64)
+
+
+def test_memo_keeps_rings_apart():
+    z4, z12 = RingSpec.residue(4), RingSpec.residue(12)
+    rows = ((1, 3, 2), (0, 1, 3), (0, 0, 1))
+    for first, second in ((z4, z12), (z12, z4)):
+        for ring in (first, second):
+            a = MatrixSL(3, ring, rows)
+            assert a.inv().ring == ring and a.inv().entries == _adjugate_ref([list(r) for r in rows], ring)
+            assert (a * a).ring == ring and (a * a).entries == _triple_loop(rows, rows, ring)
+
+
+def test_raw_checks_determinant_under_optimize():
+    from test_self_checks import run_optimized
+
+    proc = run_optimized("""
+from boundgen.errors import DeterminantNotOne
+from boundgen.matrices import _raw
+from boundgen.rings import RingSpec
+try:
+    _raw(2, RingSpec.integers(), ((2, 0), (0, 1)))
+except DeterminantNotOne:
+    raise SystemExit(0)
+raise SystemExit("a det-2 grid passed _raw")
+""")
+    assert proc.returncode == 0, proc.stderr

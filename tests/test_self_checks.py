@@ -2,16 +2,22 @@
 
 The checks raise SelfCheckFailed instead; the subprocess tests run a broken
 builder under -O and expect that error, and the ratchet keeps new bare
-asserts out of the library.
+asserts and any `raise AssertionError` (which the CLI would let escape as a
+traceback with exit 1) out of the library.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import boundgen
+from boundgen import cli, factorize
+from boundgen.matrices import elementary
+from boundgen.rings import RingSpec
+from boundgen.serialize import matrix_to_json
 
 # modules whose remaining asserts are still to be converted, with their counts
 ASSERT_LIMITS = {"ideals.py": 7, "witness.py": 5}
@@ -30,13 +36,39 @@ def run_optimized(script: str) -> subprocess.CompletedProcess:
     )
 
 
+def _raises_assertion_error(node) -> bool:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_assert_ratchet():
-    counts = {
-        path.name: sum(isinstance(node, ast.Assert) for node in ast.walk(ast.parse(path.read_text())))
-        for path in sorted(Path(boundgen.__file__).parent.glob("*.py"))
-    }
+    counts, raises = {}, {}
+    for path in sorted(Path(boundgen.__file__).parent.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        counts[path.name] = sum(isinstance(node, ast.Assert) for node in nodes)
+        raises[path.name] = sum(isinstance(node, ast.Raise) and _raises_assertion_error(node) for node in nodes)
     over = {name: c for name, c in counts.items() if c > ASSERT_LIMITS.get(name, 0)}
     assert not over, f"bare asserts above the allowed count: {over}"
+    raising = {name: c for name, c in raises.items() if c}
+    assert not raising, f"raise AssertionError left (use SelfCheckFailed): {raising}"
+
+
+def test_factorization_bound_check_exits_2(tmp_path, monkeypatch, capsys):
+    # two cancelling letters still replay to the target, so only the 3(n-1)
+    # bound claim of ElemFactorization.verify can refuse the padded word
+    real = factorize._semilocal_letters
+
+    def padded(a):
+        letters = real(a)
+        return letters + [(m, e, c) for m, _, c in letters[:1] for e in (1, -1)]
+
+    monkeypatch.setattr(factorize, "_semilocal_letters", padded)
+    z12 = RingSpec.residue(12)
+    m = elementary(1, 2, 5, 3, z12) * elementary(2, 3, 7, 3, z12)
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(matrix_to_json(m)))
+    assert cli.run(["factor", str(p), "--bounded"]) == 2
+    assert "exceeds claim 6" in capsys.readouterr().err
 
 
 def test_certificate_length_bound_survives_optimize():
