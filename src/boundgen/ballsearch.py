@@ -21,21 +21,25 @@ S and its inverses.  It comes from the same conjugation-orbit walk under
 the group's own generators that partitions the group into classes, so word
 norms match the definition over conjugates exactly.  The walk multiplies
 plain entry tuples with the product routine behind MatrixSL.__mul__.
+
+Delta_k searches sets of class units (a nontrivial class with the class of
+its inverses), one unit more per level; a set's alphabet is its units' union.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimMismatch, RingMismatch, SelfCheckFailed
+from .errors import BudgetExceeded, DimMismatch, MalformedInput, RingMismatch, SelfCheckFailed
 from .matrices import MatrixSL, _mul_entries, elementary, identity
 from .rings import RingSpec, factorize, is_unit
 from .witness import sl_order
 from .words import ConjWord, GenSet, Letter
 
 DEFAULT_BUDGET = 2 ** 24
+SET_BUDGET = 2 ** 16  # candidate class sets one Delta_k search may build
 DENSE_KEY_LIMIT = 2 ** 27
 _SENT = np.uint16(0xFFFF)
 _GATHER_CELLS = 2 ** 17  # frontier rows x letters per gather block
@@ -469,29 +473,36 @@ class ClassBall:
 
     cls: ConjClass
     rep: MatrixSL
+    unit: tuple[int, ...]  # sorted keys of the class and of the class of rep^{-1}
     normally_generates: bool
     diameter: int | None
+
+
+def _alphabet_diameter(table: FiniteGroupTable, keys) -> int | None:
+    """Diameter of the BFS over the letters keys; None if they do not normally generate."""
+    _, growth = _frontier_levels(table, table.decode(np.asarray(keys, dtype=np.int64)))
+    return len(growth) - 1 if growth[-1] == table.order else None
 
 
 def class_balls(table: FiniteGroupTable) -> list[ClassBall]:
     """The ball search of [rep] for each nontrivial class rep, in class order.
 
-    Its alphabet conj(rep^{+-1}) is the class of rep and that of rep^{-1},
-    both taken from the partition rather than walked again.
+    Its alphabet conj(rep^{+-1}), the class of rep with that of rep^{-1}, is
+    read off the partition; a class and its inverse class share one search.
     """
     id_key = table.identity_key
     classes = conjugacy_classes(table)
     class_of = {key: cls for cls in classes for key in cls.keys}
+    diameters: dict[tuple[int, ...], int | None] = {}
     out = []
     for cls in classes:
         if cls.rep_key == id_key:
             continue
         rep = table.matrix_at(table.index_of_key(cls.rep_key))
-        keys = set(cls.keys).union(class_of[table.key_of(rep.inv().entries)].keys)
-        letters = table.decode(np.array(sorted(keys), dtype=np.int64))
-        _, growth = _frontier_levels(table, letters)
-        generates = growth[-1] == table.order
-        out.append(ClassBall(cls, rep, generates, len(growth) - 1 if generates else None))
+        unit = tuple(sorted(set(cls.keys).union(class_of[table.key_of(rep.inv().entries)].keys)))
+        if unit not in diameters:
+            diameters[unit] = _alphabet_diameter(table, unit)
+        out.append(ClassBall(cls, rep, unit, diameters[unit] is not None, diameters[unit]))
     return out
 
 
@@ -506,6 +517,9 @@ class DeltaReport:
 
     attained=False encodes the empty-supremum convention (no normally
     generating set of the allowed size exists); value is None in that case.
+    witness holds a class rep per unit of a set attaining it.  checked_sets
+    counts the nontrivial classes plus the searched sets of 2+ units, none
+    when simple_shortcut (k > 1 and every nontrivial class generates alone).
     classes holds the single-class searches every k starts from.
     """
 
@@ -518,97 +532,71 @@ class DeltaReport:
     classes: list[ClassBall] = field(repr=False)
 
 
-def delta_exhaustive(
-    table: FiniteGroupTable,
-    k: int | None = 1,
-    set_budget: int = 250_000,
-    classes: list[ClassBall] | None = None,
-) -> DeltaReport:
-    """Delta_k by exhaustive enumeration of candidate sets up to conjugacy.
+def _class_set_levels(table: FiniteGroupTable, classes: list[ClassBall]):
+    """The DeltaReport for k = 1, 2, ... in turn, from one class-set search.
 
-    k=None ranges over all set sizes (the unqualified supremum).  Candidate
-    sets are pruned by simultaneous conjugacy; sets containing the identity
-    are skipped since removing the identity never changes the norm.  For
-    simple groups and k > 1 the single-generator value is returned directly.
-    classes is class_balls(table) where the caller already holds it (the
-    classes of an earlier DeltaReport of the same table).
+    A size-(s+1) candidate, a non-generating size-s set and a later unit, is
+    searched only if all its size-s subsets are non-generating: adding units
+    only shrinks norms.  Every candidate built counts against SET_BUDGET.
     """
-    if k is not None and k >= 2 and table.order > 10 ** 4:
-        raise BudgetExceeded("exhaustive delta for k >= 2 needs |G| <= 10^4")
-    if classes is None:
-        classes = class_balls(table)
-    id_key = table.identity_key
-
-    best: int | None = None
-    witness: list[MatrixSL] = []
+    best, witness, checked = None, [], len(classes)
     for c in classes:
         if c.normally_generates and (best is None or c.diameter > best):
-            best = c.diameter
-            witness = [c.rep]
-    checked = len(classes)
-    if k == 1:
-        return DeltaReport(1, best is not None, best, witness, False, checked, classes)
-    # the group is simple: every nontrivial class rep normally generates
-    if best is not None and all(c.normally_generates for c in classes):
-        return DeltaReport(k or table.order, True, best, witness, True, checked, classes)
-
-    nontrivial = [key for key in table.keys.tolist() if key != id_key]
-    max_size = len(nontrivial) if k is None else min(k, len(nontrivial))
-    perms = _conjugation_permutations(table)
-    seen_canon: set[tuple[int, ...]] = set()
-    from itertools import combinations
-
-    for size in range(2, max_size + 1):
-        for combo in combinations(range(len(nontrivial)), size):
-            keys = tuple(nontrivial[i] for i in combo)
-            canon = min(
-                tuple(sorted(perm[key] for key in keys)) for perm in perms
-            )
-            if canon in seen_canon:
-                continue
-            seen_canon.add(canon)
-            checked += 1
-            if checked > set_budget:
-                raise BudgetExceeded(f"candidate sets exceed budget {set_budget}")
-            mats = [table.matrix_at(table.index_of_key(key)) for key in keys]
-            rpt = ball_bfs(table, mats)
-            if rpt.normally_generates and (best is None or rpt.diameter > best):
-                best = rpt.diameter
-                witness = mats
-    return DeltaReport(
-        k if k is not None else table.order, best is not None, best, witness, False, checked,
-        classes,
-    )
+            best, witness = c.diameter, [c.rep]
+    yield DeltaReport(1, best is not None, best, witness, False, checked, classes)
+    first: dict[tuple[int, ...], ClassBall] = {}
+    units = [first.setdefault(c.unit, c) for c in classes if c.unit not in first]
+    open_sets = {(i,) for i, c in enumerate(units) if not c.normally_generates}
+    size, built = 1, 0
+    while open_sets:
+        size += 1
+        next_open = set()
+        for base in sorted(open_sets):
+            for last in range(base[-1] + 1, len(units)):
+                built += 1
+                if built > SET_BUDGET:
+                    raise BudgetExceeded(f"class sets exceed the budget {SET_BUDGET}")
+                cand = base + (last,)
+                if any(cand[:i] + cand[i + 1 :] not in open_sets for i in range(size - 1)):
+                    continue
+                checked += 1
+                diameter = _alphabet_diameter(table, [key for i in cand for key in units[i].unit])
+                if diameter is None:
+                    next_open.add(cand)
+                elif best is None or diameter > best:
+                    best, witness = diameter, [units[i].rep for i in cand]
+        open_sets = next_open
+        yield DeltaReport(size, best is not None, best, witness, False, checked, classes)
 
 
-def _conjugation_permutations(table: FiniteGroupTable) -> list[dict[int, int]]:
-    """key -> key map of conjugation by each group element; small groups only."""
-    if table.order > 400:
-        raise BudgetExceeded("simultaneous-conjugacy pruning needs |G| <= 400")
-    q = table.ring.modulus
-    mats = [
-        tuple(tuple(int(v) for v in row) for row in m) for m in table.decode(table.keys)
-    ]
-    perms = []
-    for g in mats:
-        ginv = MatrixSL(table.n, table.ring, g).inv().entries
-        perms.append({
-            table.key_of(x): table.key_of(_mul_entries(_mul_entries(g, x, q), ginv, q))
-            for x in mats
-        })
-    return perms
+def delta_exhaustive(
+    table: FiniteGroupTable, k: int | None = 1, classes: list[ClassBall] | None = None
+) -> DeltaReport:
+    """Delta_k by exhaustive search over sets of at most k class units.
+
+    ||.||_S is the word norm over conj(S u S^{-1}), so it depends only on the
+    class units S meets.  k=None ranges over all set sizes (the unqualified
+    supremum).  classes is class_balls(table) where the caller already holds
+    it (the classes of an earlier DeltaReport of the same table).
+    """
+    if k is not None and k < 1:
+        raise MalformedInput(f"Delta_k needs k >= 1, got {k}")
+    classes = class_balls(table) if classes is None else classes
+    for rpt in _class_set_levels(table, classes):
+        if rpt.k == k:
+            break
+    simple = k != 1 and bool(classes) and all(c.normally_generates for c in classes)
+    return replace(rpt, k=k or table.order, simple_shortcut=simple)
 
 
-def normal_generation(table: FiniteGroupTable, cap: int = 3) -> DeltaReport:
-    """Delta_k for the smallest k admitting a normally generating set of size k."""
-    classes = class_balls(table)
-    for k in range(1, cap + 1):
-        rpt = delta_exhaustive(table, k, classes=classes)
+def normal_generation(table: FiniteGroupTable) -> DeltaReport:
+    """Delta_{n0}, n0 the first set size at which a set of class units normally generates."""
+    for rpt in _class_set_levels(table, class_balls(table)):
         if rpt.attained:
-            return rpt
-    raise BudgetExceeded(f"no normally generating set of size <= {cap} found")
+            break
+    return rpt
 
 
-def normal_generation_number(table: FiniteGroupTable, cap: int = 3) -> int:
+def normal_generation_number(table: FiniteGroupTable) -> int:
     """Smallest k admitting a normally generating set of size k."""
-    return normal_generation(table, cap).k
+    return normal_generation(table).k

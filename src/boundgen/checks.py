@@ -7,7 +7,7 @@ instances, so a report (seed included) pins down the exact inputs checked.
 
 from __future__ import annotations
 
-from .errors import NotApplicable, SelfCheckFailed
+from .errors import MalformedInput, NotApplicable, SelfCheckFailed
 from .ideals import double_commutator
 from .matrices import (
     ElemSpec,
@@ -151,6 +151,8 @@ def run_sigma_suite(trials: int, seed: int, dims=(3, 4, 5)) -> dict:
 
 
 def run_identity_suites(seed: int, trials: int = 1000) -> list[dict]:
+    if trials < 1:
+        raise MalformedInput(f"identity suites need trials >= 1, got {trials}")
     z = RingSpec.integers()
     z12 = RingSpec.residue(12)
     return [

@@ -118,7 +118,7 @@ class BudgetExceeded(BoundgenError):
 # --- serialize ---
 
 class MalformedInput(BoundgenError):
-    """A JSON document does not have the shape or the value types of the file format."""
+    """A JSON document or an argument has the wrong shape, value type or range."""
 
 
 # --- internal postconditions ---

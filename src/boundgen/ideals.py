@@ -176,7 +176,8 @@ def hessenberg_ideal(a: MatrixSL, i: int, l: int, j: int) -> ECertificate:
         if r == i:
             val = ring.sub(val, 1)
         u.append(val)
-    assert all(v == 0 for v in u[l - 1:]), "Hessenberg tail not zero"
+    if not all(v == 0 for v in u[l - 1:]):
+        raise SelfCheckFailed("Hessenberg tail not zero")
     if any(v != 0 for v in u):
         t_u, conj_c, _ = unipotent_col_to_elementary(l, u, n, ring)
     else:  # u = 0 (a scalar input, say): the zero ideal, with the identity conjugator
@@ -196,7 +197,8 @@ def hessenberg_ideal(a: MatrixSL, i: int, l: int, j: int) -> ECertificate:
         builder=builder,
         tag=f"hessenberg(i={i},l={l},j={j})",
     )
-    assert IdealGen(t_u, ring) == cert.ideal, "eliminated generator is not an associate"
+    if IdealGen(t_u, ring) != cert.ideal:
+        raise SelfCheckFailed("eliminated generator is not an associate")
     cert.verify(1)
     return cert
 
@@ -237,7 +239,8 @@ def offdiag_ideal(a: MatrixSL, m: int) -> ECertificate:
         builder=builder,
         tag=f"offdiag(m={m})",
     )
-    assert cert.scale == ring.normalize(t)
+    if cert.scale != ring.normalize(t):
+        raise SelfCheckFailed("off-diagonal certificate scale differs from t")
     cert.verify(1)
     return cert
 
@@ -306,7 +309,8 @@ def scalar_obstruction_ideal(a: MatrixSL) -> ScalarObstruction:
 
     ideal = IdealGen(gcd_many(gens, ring), ring)
     part_sum = IdealGen(gcd_many([p.ideal.generator for p in parts], ring), ring)
-    assert ideal <= part_sum, "obstruction ideal escapes the certificate sum"
+    if not (ideal <= part_sum):
+        raise SelfCheckFailed("obstruction ideal escapes the certificate sum")
     return ScalarObstruction(ideal, parts, 4 * len(parts))
 
 
@@ -391,16 +395,15 @@ def pi_support(a: MatrixSL) -> PrimeSupport:
     gens = [a[r, c] for r in range(1, n + 1) for c in range(1, n + 1) if r != c]
     gens += [ring.sub(a[i, i], a[1, 1]) for i in range(2, n + 1)]
     g = gcd_many(gens, ring)
-    if ring.is_integers:
-        if is_scalar(a):
-            return PrimeSupport.all_primes()
-        support = prime_support_of(g, ring)
-        assert support is not ALL_PRIMES
-    else:
-        support = prime_support_of(g, ring)
+    if ring.is_integers and is_scalar(a):
+        return PrimeSupport.all_primes()
+    support = prime_support_of(g, ring)
+    if support is ALL_PRIMES:
+        raise SelfCheckFailed("non-scalar matrix has every prime in its support")
     for p in support:
         target = RingSpec.prime_field(p)
-        assert is_scalar(reduce_ring(a, target)), f"support self-check failed at {p}"
+        if not is_scalar(reduce_ring(a, target)):
+            raise SelfCheckFailed(f"support self-check failed at {p}")
     return PrimeSupport.of(support)
 
 
@@ -510,7 +513,8 @@ def decide_normal_generation(s: GenSet, assume_el_generates: bool = True) -> Dec
             g = new_g
         if is_unit(g, ring):
             break
-    assert is_unit(g, ring), "empty support intersection must force a unit ideal sum"
+    if not is_unit(g, ring):
+        raise SelfCheckFailed("empty support intersection must force a unit ideal sum")
     for value in list(chosen):
         rest = [v for v in chosen if v != value]
         if rest and is_unit(gcd_many(rest, ring), ring):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import log2
 
-from .errors import BadRegime, DegenerateGroup, DuplicatePrime, NotPrime
+from .errors import BadRegime, DegenerateGroup, DuplicatePrime, NotPrime, SelfCheckFailed
 from .ideals import PrimeSupport, pi_support
 from .matrices import elementary, identity
 from .rings import RingSpec, inv_unit, is_prime
@@ -67,9 +67,11 @@ def build_lower_witness(n: int, primes: list[int]) -> LowerBoundWitness:
 
     coeffs = [inv_unit(ri % p, RingSpec.prime_field(p)) for ri, p in zip(r, primes)]
     total = sum(c * ri for c, ri in zip(coeffs, r))
-    assert total % q == 1
+    if total % q != 1:
+        raise SelfCheckFailed("CRT coefficients do not sum to 1 modulo the prime product")
     coeffs[-1] -= (total - 1) // q * primes[-1]
-    assert sum(c * ri for c, ri in zip(coeffs, r)) == 1
+    if sum(c * ri for c, ri in zip(coeffs, r)) != 1:
+        raise SelfCheckFailed("adjusted CRT coefficients do not sum to 1")
 
     ident = identity(n, ring)
     word = concat(*(power_word(i, c, ident) for i, c in enumerate(coeffs) if c != 0))
@@ -79,7 +81,8 @@ def build_lower_witness(n: int, primes: list[int]) -> LowerBoundWitness:
     table = []
     for i, sup in enumerate(supports):
         expected = frozenset(p for j, p in enumerate(primes) if j != i)
-        assert sup.finite == expected, f"support of generator {i} is {sup.finite}"
+        if sup.finite != expected:
+            raise SelfCheckFailed(f"support of generator {i} is {sup.finite}")
         table.append(tuple(p in sup.finite for p in primes))
     # the literal obstruction premise: every k-1 of the generators share a prime
     # (for k = 1 the empty intersection is all primes and holds trivially)
@@ -88,8 +91,10 @@ def build_lower_witness(n: int, primes: list[int]) -> LowerBoundWitness:
         for j, sup in enumerate(supports):
             if j != i:
                 inter = inter.intersect(sup)
-        assert inter.is_all or primes[i] in inter.finite, "k-1 subset lost its common prime"
-    assert pi_support(elementary(1, n, 1, n, ring)).is_empty()
+        if not (inter.is_all or primes[i] in inter.finite):
+            raise SelfCheckFailed("k-1 subset lost its common prime")
+    if not pi_support(elementary(1, n, 1, n, ring)).is_empty():
+        raise SelfCheckFailed("the target E_1n(1) has a nonempty prime support")
 
     return LowerBoundWitness(
         k=k,

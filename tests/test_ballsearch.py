@@ -128,6 +128,22 @@ def test_backtrack_words_replay(sl32):
         assert eval_word(w, gens) == m
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_psl_backtrack_words_replay_modulo_scalars(p):
+    # a psl word multiplies to its target only up to a scalar, so compare
+    # scalar-canonical keys; exact equality holds for only some elements
+    ring = RingSpec.prime_field(p)
+    table = enumerate_group(ring, 2, psl=True)
+    e = elementary(1, 2, 1, 2, ring)
+    rpt = ball_bfs(table, [e])
+    gens = GenSet((e,))
+    for idx in range(table.order):
+        m = table.matrix_at(idx)
+        w = backtrack_word(rpt, m)
+        assert len(w) == rpt.norm_of(m)
+        assert table.key_of(eval_word(w, gens).entries) == table.key_of(m.entries)
+
+
 def test_sl32_diameter_bound(sl32):
     rpt = ball_bfs(sl32, [elementary(1, 2, 1, 3, F2)])
     assert rpt.normally_generates

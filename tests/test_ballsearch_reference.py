@@ -5,15 +5,17 @@ The reference below finds group elements by brute force over all matrices
 with every group element and runs a set-based BFS, all in plain-integer
 tuple arithmetic written for this file; no ballsearch helper is used.  Keys
 follow the engine's documented format, entry[idx] * q^idx in row-major
-order, so keys, growth, norms and classes can be compared exactly.
+order, so keys, growth, norms and classes can be compared exactly.  Its
+Delta_k tries every set of non-identity elements, where the engine searches
+sets of class units.
 """
 
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import pytest
 
-from boundgen.ballsearch import ball_bfs, conjugacy_classes, enumerate_group
+from boundgen.ballsearch import ball_bfs, conjugacy_classes, delta_exhaustive, enumerate_group
 from boundgen.matrices import MatrixSL
 from boundgen.rings import RingSpec
 
@@ -98,12 +100,19 @@ class Reference:
             out.append((members[0], members))
         return sorted(out)
 
+    def alphabet(self, s):
+        """conj(s u s^-1) without the identity."""
+        out = set()
+        for x in s:
+            out |= self.conjugates(x) | self.conjugates(self.inverse[x])
+        out.discard(self.one)
+        return frozenset(out)
+
     def ball(self, s):
         """Cumulative ball sizes and the norm of every element, by key."""
-        alphabet = set()
-        for x in s:
-            alphabet |= self.conjugates(x) | self.conjugates(self.inverse[x])
-        alphabet.discard(self.one)
+        return self.ball_over(self.alphabet(s))
+
+    def ball_over(self, alphabet):
         norm = {self.one: 0}
         frontier, growth = [self.one], [1]
         while frontier:
@@ -115,6 +124,22 @@ class Reference:
             frontier = list(fresh)
         by_key = {key(m, self.q): d for m, d in norm.items()}
         return growth, [by_key.get(k, UNREACHED) for k in self.keys()]
+
+    def delta(self, k):
+        """(attained, value) of Delta_k over every set of at most k non-identity
+        elements (all sizes when k is None); one ball per distinct alphabet."""
+        letters = {x: self.alphabet([x]) for x in self.elements - {self.one}}
+        order, diameters, best = len(self.elements), {}, None
+        for size in range(1, (len(letters) if k is None else k) + 1):
+            for s in combinations(letters, size):
+                alphabet = frozenset().union(*(letters[x] for x in s))
+                if alphabet not in diameters:
+                    growth, _ = self.ball_over(alphabet)
+                    diameters[alphabet] = len(growth) - 1 if growth[-1] == order else None
+                d = diameters[alphabet]
+                if d is not None and (best is None or d > best):
+                    best = d
+        return best is not None, best
 
 
 F2 = RingSpec.prime_field(2)
@@ -184,6 +209,17 @@ def test_balls_match_reference(group):
         growth, norms = ref.ball([m.entries for m in s])
         assert rpt.growth == growth
         assert rpt.norms.tolist() == norms
+
+
+def test_delta_matches_reference(group):
+    # k = 1, 2 up to 48 elements, k = 3 up to 24, all sizes up to 6
+    # (SL(2,F2) and the 3-cycle subgroup)
+    table, ref = group
+    order = len(ref.elements)
+    ks = [k for k, limit in ((1, 48), (2, 48), (3, 24), (None, 6)) if order <= limit]
+    for k in ks:
+        rpt = delta_exhaustive(table, k)
+        assert (rpt.attained, rpt.value) == ref.delta(k), k
 
 
 @pytest.fixture(scope="module")

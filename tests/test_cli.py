@@ -160,6 +160,9 @@ def test_ball_verb_with_csv(tmp_path, capsys):
 def test_delta_verb(capsys):
     assert run(["delta", "--ring", "Fp:2", "--n", "2", "--k", "1"]) == 0
     assert out_json(capsys)["delta"] == 2
+    # SL(2,F11) has 1,320 elements; a search over class sets needs no order limit
+    assert run(["delta", "--ring", "Fp:11", "--n", "2", "--k", "2"]) == 0
+    assert out_json(capsys)["delta"] == 3
 
 
 def test_witness_lower_verb(capsys):
@@ -183,18 +186,27 @@ def test_class_bound_verb(capsys):
     assert rep["generic_holds"] is True
 
 
-def test_usage_errors(tmp_path):
+def test_usage_errors(tmp_path, capsys):
     assert run(["pia", str(tmp_path / "missing.json")]) == 1
     assert run(["bound", "--regime", "bogus", "--n", "3"]) == 1
+    for argv in (
+        ["delta", "--ring", "Fp:2", "--n", "2", "--k", "0"],
+        ["delta", "--ring", "Fp:2", "--n", "2", "--k", "-3"],
+        ["check-identities", "--trials", "0"],
+        ["check-identities", "--trials", "-1"],
+    ):
+        assert run(argv) == 1
+        assert capsys.readouterr().out == ""
 
 
 def test_deterministic_reports(tmp_path, capsys):
     p = write(tmp_path, "m.json", matrix_to_json(elementary(1, 3, 6, 3, Z)))
-    run(["pia", p])
-    first = capsys.readouterr().out
-    run(["pia", p])
-    second = capsys.readouterr().out
-    assert first == second
+    for argv in (["pia", p], ["delta", "--ring", "Zmod:4", "--n", "2", "--k", "2"]):
+        run(argv)
+        first = capsys.readouterr().out
+        run(argv)
+        second = capsys.readouterr().out
+        assert first and first == second
 
 
 def test_check_identities_verb(capsys):

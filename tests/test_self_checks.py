@@ -19,8 +19,8 @@ from boundgen.matrices import elementary
 from boundgen.rings import RingSpec
 from boundgen.serialize import matrix_to_json
 
-# modules whose remaining asserts are still to be converted, with their counts
-ASSERT_LIMITS = {"ideals.py": 7, "witness.py": 5}
+# modules allowed bare asserts, with their counts; none are left
+ASSERT_LIMITS: dict[str, int] = {}
 
 
 def run_optimized(script: str) -> subprocess.CompletedProcess:
