@@ -17,10 +17,11 @@ tests/test_ballsearch_reference.py checks keys, growth, norms and classes
 against a slow pure-Python BFS on small groups.
 
 The edge alphabet of a ball search is the full conjugacy-class closure of
-S and its inverses.  It comes from the same conjugation-orbit walk under
-the group's own generators that partitions the group into classes, so word
-norms match the definition over conjugates exactly.  The walk multiplies
-plain entry tuples with the product routine behind MatrixSL.__mul__.
+S and its inverses.  It comes from the same conjugation walk under the
+group's own generators that partitions the group into classes, so word
+norms match the definition over conjugates exactly.  The walk is level
+synchronous too: one batched numpy product conjugates a whole frontier by
+every generator, and fresh keys are marked in a bool array.
 
 Delta_k searches sets of class units (a nontrivial class with the class of
 its inverses), one unit more per level; a set's alphabet is its units' union.
@@ -136,20 +137,13 @@ class FiniteGroupTable:
             best = cand if best is None else np.minimum(best, cand)
         return best
 
-    def canonical(self, m: tuple) -> tuple:
-        if not self.psl:
-            return m
+    def key_of(self, m: tuple) -> int:
+        """Key of one entry grid, minimized over scalar multiples when psl."""
         q = self.ring.modulus
         return min(
-            (
-                tuple(tuple(v * lam % q for v in row) for row in m)
-                for lam in self.scalars
-            ),
-            key=self.encode_one,
+            self.encode_one(tuple(tuple(v * lam % q for v in row) for row in m))
+            for lam in self.scalars
         )
-
-    def key_of(self, m: tuple) -> int:
-        return self.encode_one(self.canonical(m))
 
     def index_of_key(self, key: int) -> int:
         pos = int(np.searchsorted(self.keys, key))
@@ -160,13 +154,6 @@ class FiniteGroupTable:
     def matrix_at(self, index: int) -> MatrixSL:
         mat = self.decode(self.keys[index : index + 1])[0]
         return MatrixSL(self.n, self.ring, tuple(tuple(int(v) for v in row) for row in mat))
-
-    def contains(self, m: MatrixSL) -> bool:
-        try:
-            self.index_of_key(self.key_of(m.entries))
-            return True
-        except KeyError:
-            return False
 
     @property
     def identity_key(self) -> int:
@@ -351,51 +338,61 @@ class BallReport:
 def class_closure(table: FiniteGroupTable, s: list[MatrixSL]) -> list[AlphabetEntry]:
     """conj_G(S^{+-1}) with a conjugator recorded per element.
 
-    Orbit walk under the table's own generators; the identity never enters
-    the alphabet (it cannot move a BFS frontier).
+    One conjugation walk per class met; each conjugator is the walk's
+    generator times its parent's conjugator.  The identity never enters the
+    alphabet (it cannot move a BFS frontier).
     """
-    id_key = table.identity_key
+    q = table.ring.modulus
+    ident = identity(table.n, table.ring).entries
+    seen = np.zeros(table.key_space, dtype=bool)
+    seen[table.identity_key] = True
     entries: dict[int, AlphabetEntry] = {}
     for gi, mat in enumerate(s):
         if mat.ring != table.ring or mat.n != table.n:
             raise RingMismatch("generator ring/dimension differs from the table")
-        if not table.contains(mat):
-            raise KeyError("generator is not an element of the group table")
+        table.index_of_key(table.key_of(mat.entries))  # KeyError for a non-member
         for exp in (1, -1):
-            base = table.canonical(mat.entries if exp == 1 else mat.inv().entries)
-            if table.key_of(base) == id_key:
+            key = table.key_of(mat.entries if exp == 1 else mat.inv().entries)
+            if seen[key]:
                 continue
-            for k, new, conj in _conjugation_orbit(table, base):
-                if k not in entries:
-                    entries[k] = AlphabetEntry(new, gi, exp, conj)
+            keys, parent, via = _conjugation_walk(table, key, seen)
+            conj = [ident]
+            for p, g in zip(parent[1:].tolist(), via[1:].tolist()):
+                conj.append(_mul_entries(table.gens[g], conj[p], q))
+            for k, m, c in zip(keys.tolist(), table.decode(keys).tolist(), conj):
+                entries[k] = AlphabetEntry(tuple(map(tuple, m)), gi, exp, c)
     return [entries[k] for k in sorted(entries)]
 
 
-def _conjugation_orbit(table: FiniteGroupTable, start: tuple):
-    """Yield (key, matrix, conjugator) once for each conjugate of start.
+def _conjugation_walk(table: FiniteGroupTable, start_key: int, seen: np.ndarray):
+    """The class of start_key under x -> g x g^{-1} for g in table.gens.
 
-    start must be canonical and comes first, with the identity conjugator;
-    each later matrix equals conjugator * start * conjugator^{-1} up to the
-    table's canonical scalar.  Depth-first walk under the table's generators.
+    Level-synchronous BFS marking fresh canonical keys in seen, the caller's
+    bool array over the key space.  Returns the class's keys in visit order,
+    the visit position of each key's parent and the index in table.gens of
+    the generator that conjugated the parent into it (-1 for start_key).
     """
-    q = table.ring.modulus
-    gens_with_inv = [(g, MatrixSL(table.n, table.ring, g).inv().entries) for g in table.gens]
-    ident = identity(table.n, table.ring).entries
-    start_key = table.encode_one(start)
-    yield start_key, start, ident
-    stack = [(start, ident)]
-    seen = {start_key}
-    while stack:
-        cur, conj = stack.pop()
-        for g, ginv in gens_with_inv:
-            new = table.canonical(_mul_entries(_mul_entries(g, cur, q), ginv, q))
-            k = table.encode_one(new)
-            if k in seen:
-                continue
-            seen.add(k)
-            new_conj = _mul_entries(g, conj, q)
-            yield k, new, new_conj
-            stack.append((new, new_conj))
+    q, n = table.ring.modulus, table.n
+    gens = np.array(table.gens, dtype=np.int64)[:, None]
+    invs = np.array(
+        [MatrixSL(n, table.ring, g).inv().entries for g in table.gens], dtype=np.int64
+    )[:, None]
+    seen[start_key] = True
+    frontier = np.array([start_key], dtype=np.int64)
+    keys, parent, via = [frontier], [np.array([-1])], [np.array([-1])]
+    start = 0  # visit position of the frontier's first key
+    while frontier.size:
+        images = gens @ table.decode(frontier) % q @ invs % q
+        images = table.canonical_keys(images.reshape(-1, n, n))  # generator-major
+        fresh = np.flatnonzero(~seen[images])
+        new, first = np.unique(images[fresh], return_index=True)
+        seen[new] = True
+        keys.append(new)
+        parent.append(start + fresh[first] % frontier.size)
+        via.append(fresh[first] // frontier.size)
+        start += frontier.size
+        frontier = new
+    return np.concatenate(keys), np.concatenate(parent), np.concatenate(via)
 
 
 def ball_bfs(table: FiniteGroupTable, s) -> BallReport:
@@ -409,24 +406,24 @@ def ball_bfs(table: FiniteGroupTable, s) -> BallReport:
 def backtrack_word(report: BallReport, target: MatrixSL) -> ConjWord:
     """A word of exactly ||target|| letters replaying to the target element.
 
-    Walks the BFS levels down through the alphabet.  For psl tables the
-    letters multiply to the target only up to a scalar.
+    Walks the BFS levels down through the alphabet.  conj(S^{+-1}) is closed
+    under inverses, so stepping to cur * entry.mat peels off the letter
+    entry.mat^{-1}.  For psl tables the letters multiply to the target only
+    up to a scalar.
     """
     table = report.table
     q = table.ring.modulus
-    n = table.n
-    cur = table.canonical(target.entries)
-    d = report._dense[table.encode_one(cur)]
+    cur = target.entries
+    d = report._dense[table.key_of(cur)]
     if d == _SENT:
         raise KeyError("target is outside the normal closure")
     letters: list[Letter] = []
-    inv_cache = {id(e): MatrixSL(n, table.ring, e.mat).inv().entries for e in report.alphabet}
     for level in range(int(d), 0, -1):
         for entry in report.alphabet:
-            prev = table.canonical(_mul_entries(cur, inv_cache[id(entry)], q))
-            if report._dense[table.encode_one(prev)] == level - 1:
+            prev = _mul_entries(cur, entry.mat, q)
+            if report._dense[table.key_of(prev)] == level - 1:
                 letters.append(
-                    Letter(entry.gen, entry.exp, MatrixSL(n, table.ring, entry.conj))
+                    Letter(entry.gen, -entry.exp, MatrixSL(table.n, table.ring, entry.conj))
                 )
                 cur = prev
                 break
@@ -451,19 +448,17 @@ class ConjClass:
         return len(self.keys)
 
 
-def conjugacy_classes(table: FiniteGroupTable, limit: int = 10 ** 5) -> list[ConjClass]:
-    """Partition of the group into conjugacy classes (orbit walk per class)."""
-    if table.order > limit:
-        raise BudgetExceeded(f"class partition of {table.order} elements refused")
-    assigned: set[int] = set()
+def conjugacy_classes(table: FiniteGroupTable) -> list[ConjClass]:
+    """Partition of the group into conjugacy classes, in order of least key.
+
+    One conjugation walk from each key no earlier walk has reached.
+    """
+    seen = np.zeros(table.key_space, dtype=bool)
     out: list[ConjClass] = []
-    for index, key in enumerate(table.keys.tolist()):
-        if key in assigned:
-            continue
-        rep = table.matrix_at(index).entries
-        members = [k for k, _, _ in _conjugation_orbit(table, rep)]
-        assigned.update(members)
-        out.append(ConjClass(key, sorted(members)))
+    for key in table.keys.tolist():
+        if not seen[key]:
+            members = _conjugation_walk(table, key, seen)[0]
+            out.append(ConjClass(key, np.sort(members).tolist()))
     return out
 
 

@@ -10,8 +10,8 @@ products are memoised by value (the ring is part of the key), and the
 identity is built once per (n, ring).
 
 Products of entry grids go through one private routine, `_mul_entries`,
-which serves both `MatrixSL.__mul__` and the conjugation walks of
-`ballsearch` over its plain tuple matrices.  Built matrices (identity,
+which serves both `MatrixSL.__mul__` and the plain tuple matrices of
+`ballsearch` (letter conjugators and word backtracking).  Built matrices (identity,
 elementary, signed transpositions, unipotents, block embeddings) all start
 from one constructor, `identity_with`.
 """

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,8 @@ from boundgen.ballsearch import (
     sl_order_mod,
 )
 from boundgen.cli import run
-from boundgen.errors import BudgetExceeded, SelfCheckFailed
-from boundgen.matrices import elementary, identity
+from boundgen.errors import BudgetExceeded, RingMismatch, SelfCheckFailed
+from boundgen.matrices import MatrixSL, elementary, identity
 from boundgen.rand import SplitMix64
 from boundgen.rings import RingSpec
 from boundgen.words import GenSet, eval_word
@@ -222,8 +223,47 @@ def test_ball_multiplicativity_setwise(s3):
 
 def test_class_closure_membership_error(s3):
     z6 = RingSpec.residue(6)
-    with pytest.raises(Exception):
+    with pytest.raises(RingMismatch):
         ball_bfs(s3, [elementary(1, 2, 1, 2, z6)])
+
+
+def test_ball_non_member_raises_key_error():
+    # a transposition is not in the subgroup generated by a 3-cycle
+    table = enumerate_group(F2, 2, gens=[elementary(1, 2, 1, 2, F2) * elementary(2, 1, 1, 2, F2)])
+    with pytest.raises(KeyError):
+        ball_bfs(table, [elementary(1, 2, 1, 2, F2)])
+
+
+@pytest.mark.parametrize(
+    "ring, n, psl, gens",
+    [
+        (F2, 3, False, [(1, 2, 1), (1, 3, 1)]),
+        (RingSpec.prime_field(5), 2, True, [(1, 2, 1), (2, 1, 2)]),
+        (RingSpec.residue(6), 2, False, [(1, 2, 2), (2, 1, 3)]),
+    ],
+)
+def test_class_closure_conjugators_and_classes(ring, n, psl, gens):
+    table = enumerate_group(ring, n, psl=psl)
+    s = [elementary(i, j, v, n, ring) for i, j, v in gens]
+    alphabet = class_closure(table, s)
+    for entry in alphabet:
+        conj = MatrixSL(n, ring, entry.conj)
+        letter = s[entry.gen] if entry.exp == 1 else s[entry.gen].inv()
+        assert table.key_of((conj * letter * conj.inv()).entries) == table.key_of(entry.mat)
+    met = {table.key_of(m.entries) for g in s for m in (g, g.inv())}
+    expected = {k for c in conjugacy_classes(table) if met.intersection(c.keys) for k in c.keys}
+    expected.discard(table.identity_key)
+    assert sorted(table.key_of(e.mat) for e in alphabet) == sorted(expected)
+
+
+def test_conjugacy_classes_sl2_f59():
+    # p + 4 classes: +-I, four of size (p^2 - 1)/2, (p - 3)/2 split and
+    # (p - 1)/2 non-split semisimple classes
+    table = enumerate_group(RingSpec.prime_field(59), 2)
+    classes = conjugacy_classes(table)
+    assert len(classes) == 63
+    assert Counter(c.size for c in classes) == {1: 2, 1740: 4, 3422: 29, 3540: 28}
+    assert sum(c.size for c in classes) == table.order == 205320
 
 
 def test_custom_generator_subgroup():
