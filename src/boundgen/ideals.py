@@ -7,13 +7,16 @@ across a generating set decides normal generation and yields explicit,
 replayable words for E_{1,n}(1).
 
 Every certificate here carries a parametric word builder: builder(x) is a
-ConjWord of fixed length whose evaluation is exactly E_{1,n}(x * scale),
-where (scale) is the certified ideal.
+DEPTH = 4 letter ConjWord over the single generator A whose evaluation is
+exactly E_{1,n}(x * scale), where (scale) is the certified ideal.  A word
+built for a conjugate P A P^{-1} (a Hessenberg form, a column swap, the
+n = 3 antidiagonal) moves back to A by one transport, `_over`, which
+right-multiplies every conjugator by P.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import (
@@ -54,7 +57,6 @@ from .words import (
     invert,
     power_word,
     reindex,
-    substitute,
     transpose_word,
     verify_word,
 )
@@ -114,35 +116,46 @@ def double_commutator(
 # ---------------------------------------------------------------------------
 
 
+DEPTH = 4  # letters in every ideal certificate word
+
+
 @dataclass
 class ECertificate:
-    """An ideal certified to sit inside the depth-`depth` elementary reach of
-    the generating set.
+    """An ideal certified to sit inside the depth-4 elementary reach of `a`.
 
-    builder(x) is a word of exactly `depth` letters over `genset` whose
-    evaluation is E_{1,n}(x * scale); (scale) == ideal.
+    builder(x) is a word of exactly DEPTH letters over the single generator
+    `a` whose evaluation is E_{1,n}(x * scale); (scale) == ideal.
     """
 
     ideal: IdealGen
     scale: int
-    depth: int
-    genset: GenSet
+    a: MatrixSL
     builder: Callable[[int], ConjWord]
-    tag: str = ""
-
-    def word_for(self, x: int) -> ConjWord:
-        return self.builder(x)
-
-    def target_for(self, x: int) -> MatrixSL:
-        ring = self.genset.ring
-        n = self.genset.n
-        return elementary(1, n, ring.mul(x, self.scale), n, ring)
 
     def verify(self, x: int) -> None:
         w = self.builder(x)
-        if len(w) != self.depth:
-            raise SelfCheckFailed(f"certificate word has {len(w)} letters != {self.depth}")
-        verify_word(w, self.genset, self.target_for(x))
+        if len(w) != DEPTH:
+            raise SelfCheckFailed(f"certificate word has {len(w)} letters != {DEPTH}")
+        n, ring = self.a.n, self.a.ring
+        target = elementary(1, n, ring.mul(x, self.scale), n, ring)
+        verify_word(w, GenSet((self.a,)), target)
+
+
+def _over(
+    a: MatrixSL, p: MatrixSL, ideal: IdealGen, scale: int, word: Callable[[int], ConjWord]
+) -> ECertificate:
+    """Certificate over {a} from word(x), a word over {p a p^{-1}}.
+
+    c (p a p^{-1})^e c^{-1} = (c p) a^e (c p)^{-1}, so every conjugator is
+    right-multiplied by p.  The result is replayed at x = 1.
+    """
+
+    def builder(x: int) -> ConjWord:
+        return ConjWord(tuple(Letter(l.gen, l.exp, l.conj * p) for l in word(x).letters))
+
+    cert = ECertificate(ideal, scale, a, builder)
+    cert.verify(1)
+    return cert
 
 
 def hessenberg_ideal(a: MatrixSL, i: int, l: int, j: int) -> ECertificate:
@@ -164,18 +177,11 @@ def hessenberg_ideal(a: MatrixSL, i: int, l: int, j: int) -> ECertificate:
         raise BadIndices(f"need l > i+1 and j not in {{i, l}}; got i={i}, l={l}, j={j}")
     b = a.inv()
     c = ring.sub(b[j, j], b[j, i])
-    gens = [ring.sub(ring.mul(c, a[i, i]), 1)]
-    gens += [a[k, i] for k in range(1, n + 1) if k != i]
-    t = gcd_many(gens, ring)
-
     # increment vector of the double commutator, x-independent part
-    col_i = a.col(i)
-    u = []
-    for r in range(1, n + 1):
-        val = ring.mul(c, col_i[r - 1])
-        if r == i:
-            val = ring.sub(val, 1)
-        u.append(val)
+    u = [ring.mul(c, v) for v in a.col(i)]
+    u[i - 1] = ring.sub(u[i - 1], 1)
+    t = gcd_many([u[i - 1]] + [a[k, i] for k in range(1, n + 1) if k != i], ring)
+
     if not all(v == 0 for v in u[l - 1:]):
         raise SelfCheckFailed("Hessenberg tail not zero")
     if any(v != 0 for v in u):
@@ -183,20 +189,11 @@ def hessenberg_ideal(a: MatrixSL, i: int, l: int, j: int) -> ECertificate:
     else:  # u = 0 (a scalar input, say): the zero ideal, with the identity conjugator
         t_u, conj_c = 0, identity(n, ring)
 
-    genset = GenSet((a,))
-
     def builder(x: int) -> ConjWord:
         _, word = double_commutator(a, i, j, j, l, x)
         return conjugate_word(word, conj_c)
 
-    cert = ECertificate(
-        ideal=IdealGen(t, ring),
-        scale=t_u,
-        depth=4,
-        genset=genset,
-        builder=builder,
-        tag=f"hessenberg(i={i},l={l},j={j})",
-    )
+    cert = ECertificate(IdealGen(t, ring), t_u, a, builder)
     if IdealGen(t_u, ring) != cert.ideal:
         raise SelfCheckFailed("eliminated generator is not an associate")
     cert.verify(1)
@@ -220,29 +217,13 @@ def offdiag_ideal(a: MatrixSL, m: int) -> ECertificate:
 
     swap = identity(n, ring) if m == 1 else sigma(1, m, n, ring)
     hc = to_hessenberg(swap * a * swap.inv())
-    h = hc.hessenberg
-    q = hc.transform * swap  # h == q * a * q^{-1}
-    inner = hessenberg_ideal(h, 1, n, 2)
+    q = hc.transform * swap  # hc.hessenberg == q * a * q^{-1}
+    inner = hessenberg_ideal(hc.hessenberg, 1, n, 2)
     y = divide_exact(t, inner.scale, ring)
-    genset = GenSet((a,))
-    dictionary = {0: ConjWord.single(0, 1, q)}
-
-    def builder(x: int) -> ConjWord:
-        w = inner.builder(ring.mul(x, y))
-        return substitute(w, inner.genset, dictionary, genset, check=False)
-
-    cert = ECertificate(
-        ideal=IdealGen(t, ring),
-        scale=ring.mul(y, inner.scale),
-        depth=4,
-        genset=genset,
-        builder=builder,
-        tag=f"offdiag(m={m})",
-    )
-    if cert.scale != ring.normalize(t):
+    scale = ring.mul(y, inner.scale)
+    if scale != ring.normalize(t):
         raise SelfCheckFailed("off-diagonal certificate scale differs from t")
-    cert.verify(1)
-    return cert
+    return _over(a, q, IdealGen(t, ring), scale, lambda x: inner.builder(ring.mul(x, y)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +235,8 @@ def offdiag_ideal(a: MatrixSL, m: int) -> ECertificate:
 class ScalarObstruction:
     """Ideal I with: every maximal ideal containing I makes A scalar.
 
-    parts are depth-4 certificates whose ideal sum contains I, so I sits in
+    parts are depth-4 certificates over A itself (built for its Hessenberg
+    form H and transported back) whose ideal sum contains I, so I sits in
     the elementary reach of A at total depth depth_total <= 4n + 4.
     """
 
@@ -271,39 +253,23 @@ def scalar_obstruction_ideal(a: MatrixSL) -> ScalarObstruction:
     hc = to_hessenberg(a)
     h = hc.hessenberg
     b = h.inv()
-    genset = GenSet((a,))
-    dictionary = {0: ConjWord.single(0, 1, hc.transform)}
 
-    def over_a(cert: ECertificate, tag: str) -> ECertificate:
-        inner_gs = cert.genset
+    def over_a(cert: ECertificate) -> ECertificate:  # h == T a T^{-1}
+        return _over(a, hc.transform, cert.ideal, cert.scale, cert.builder)
 
-        def builder(x: int, _c=cert) -> ConjWord:
-            return substitute(_c.builder(x), inner_gs, dictionary, genset, check=False)
-
-        out = ECertificate(cert.ideal, cert.scale, cert.depth, genset, builder, tag)
-        out.verify(1)
-        return out
-
-    parts: list[ECertificate] = [
-        over_a(offdiag_ideal(h, n - 1), "J-offdiag-col-(n-1)"),
-        over_a(offdiag_ideal(h, n), "J-offdiag-col-n"),
-    ]
-    offdiag_entries = [
-        h[r, c] for r in range(1, n + 1) for c in range(1, n + 1) if r != c
-    ]
+    parts = [over_a(offdiag_ideal(h, n - 1)), over_a(offdiag_ideal(h, n))]
+    gens = [h[r, c] for r in range(1, n + 1) for c in range(1, n + 1) if r != c]
     if n >= 4:
         for i in range(2, n - 1):
-            parts.append(over_a(hessenberg_ideal(h, i, n, 1), f"J-hess-i{i}"))
-        parts.append(over_a(hessenberg_ideal(h, 1, n, n - 1), "J-hess-top"))
-        parts.append(over_a(hessenberg_ideal(h, 1, n - 1, n), "J-hess-top2"))
-        gens = list(offdiag_entries)
+            parts.append(over_a(hessenberg_ideal(h, i, n, 1)))
+        parts.append(over_a(hessenberg_ideal(h, 1, n, n - 1)))
+        parts.append(over_a(hessenberg_ideal(h, 1, n - 1, n)))
         gens += [ring.sub(ring.mul(b[1, 1], h[i, i]), 1) for i in range(2, n - 1)]
         gens.append(ring.sub(ring.mul(b[n - 1, n - 1], h[1, 1]), 1))
         gens.append(ring.sub(ring.mul(b[n, n], h[1, 1]), 1))
     else:
-        parts.append(over_a(hessenberg_ideal(h, 1, 3, 2), "J-hess-top"))
-        parts.append(over_a(_transposed_corner_cert(h), "J-hess-transposed"))
-        gens = list(offdiag_entries)
+        parts.append(over_a(hessenberg_ideal(h, 1, 3, 2)))
+        parts.append(over_a(_transposed_corner_cert(h)))
         gens.append(ring.sub(ring.mul(b[2, 2], h[1, 1]), 1))
         gens.append(ring.sub(ring.mul(b[1, 1], h[3, 3]), 1))
 
@@ -311,7 +277,7 @@ def scalar_obstruction_ideal(a: MatrixSL) -> ScalarObstruction:
     part_sum = IdealGen(gcd_many([p.ideal.generator for p in parts], ring), ring)
     if not (ideal <= part_sum):
         raise SelfCheckFailed("obstruction ideal escapes the certificate sum")
-    return ScalarObstruction(ideal, parts, 4 * len(parts))
+    return ScalarObstruction(ideal, parts, DEPTH * len(parts))
 
 
 def _transposed_corner_cert(h: MatrixSL) -> ECertificate:
@@ -323,22 +289,14 @@ def _transposed_corner_cert(h: MatrixSL) -> ECertificate:
     """
     ring = h.ring
     m0 = MatrixSL(3, ring, ((0, 0, 1), (0, -1, 0), (1, 0, 0)))
-    c_mat = (m0 * h * m0.inv()).transpose()
-    inner = hessenberg_ideal(c_mat, 1, 3, 2)
-    genset = GenSet((h,))
+    inner = hessenberg_ideal((m0 * h * m0.inv()).transpose(), 1, 3, 2)
     swap = sigma(1, 3, 3, ring)
-    transposed_base = GenSet((c_mat.transpose(),))  # = M0 H M0^{-1}
-    dictionary = {0: ConjWord.single(0, 1, m0)}
 
-    def builder(x: int) -> ConjWord:
-        w = inner.builder(ring.neg(x))
-        w = transpose_word(w)  # now over {M0 H M0^{-1}}, eval E_{3,1}(-x*s)
-        w = conjugate_word(w, swap)  # eval E_{1,3}(x*s)
-        return substitute(w, transposed_base, dictionary, genset, check=False)
+    def word(x: int) -> ConjWord:
+        w = transpose_word(inner.builder(ring.neg(x)))  # over {M0 H M0^{-1}}, E_{3,1}(-x*s)
+        return conjugate_word(w, swap)  # eval E_{1,3}(x*s)
 
-    cert = ECertificate(inner.ideal, inner.scale, 4, genset, builder, "corner-transposed")
-    cert.verify(1)
-    return cert
+    return _over(h, m0, inner.ideal, inner.scale, word)
 
 
 # ---------------------------------------------------------------------------
@@ -428,22 +386,7 @@ class Decision:
     all_scalar: bool = False
     certificate: ConjWord | None = None
     certificate_length: int = 0
-    terms: list[tuple[int, int, str]] = field(default_factory=list)
     assume_el_generates: bool = True
-
-
-class _Realizer:
-    """One way to produce E_{1,n}(c * value) for the canonical pool value.
-
-    Direct realizers repeat a conjugated generator letter |c| times;
-    parametric ones call a depth-4 certificate builder, so their cost is 4
-    regardless of the coefficient.
-    """
-
-    def __init__(self, make, cost, kind: str):
-        self.make = make
-        self.cost = cost
-        self.kind = kind
 
 
 def decide_normal_generation(s: GenSet, assume_el_generates: bool = True) -> Decision:
@@ -462,24 +405,22 @@ def decide_normal_generation(s: GenSet, assume_el_generates: bool = True) -> Dec
         raise BadIndices("normal generation decision needs n >= 3")
     if not ring.is_integers:
         raise UnsupportedRing("decision procedure runs over Z")
-    supports = [pi_support(a) for a in s.elements]
     common = PrimeSupport.all_primes()
-    for sup in supports:
-        common = common.intersect(sup)
-    if common.is_all:
+    for a in s.elements:
+        common = common.intersect(pi_support(a))
+    if not common.is_empty():  # all scalar (is_all): every prime, and 2 is the smallest
         return Decision(
-            False, common_prime=2, all_scalar=True, assume_el_generates=assume_el_generates
-        )
-    if not common.is_empty():
-        return Decision(
-            False, common_prime=common.smallest(), assume_el_generates=assume_el_generates
+            False, common.smallest(), common.is_all, assume_el_generates=assume_el_generates
         )
 
-    pool: dict[int, list[_Realizer]] = {}
+    # pool[value] holds (direct, make) pairs, make(c) a word for E_{1,n}(c * value):
+    # a direct pair repeats a conjugated generator letter |c| times, the others
+    # call a certificate builder, DEPTH letters whatever the coefficient
+    pool: dict[int, list[tuple[bool, Callable[[int], ConjWord]]]] = {}
 
-    def add(canon: int, realizer: _Realizer) -> None:
+    def add(canon: int, direct: bool, make: Callable[[int], ConjWord]) -> None:
         if canon != 0:
-            pool.setdefault(canon, []).append(realizer)
+            pool.setdefault(canon, []).append((direct, make))
 
     for idx, a in enumerate(s.elements):
         espec = as_elementary(a)
@@ -490,18 +431,15 @@ def decide_normal_generation(s: GenSet, assume_el_generates: bool = True) -> Dec
             def make_direct(c, _idx=idx, _norm=norm, _sign=sign):
                 return power_word(_idx, c * _sign, _norm)
 
-            add(abs(espec.x), _Realizer(make_direct, abs, f"gen{idx}-letter"))
-        obstruction = scalar_obstruction_ideal(a)
-        for part in obstruction.parts:
+            add(abs(espec.x), True, make_direct)
+        for part in scalar_obstruction_ideal(a).parts:
             canon = part.ideal.generator
-            if canon == 0:
-                continue
             unit = 1 if part.scale == canon else -1
 
             def make_flat(c, _part=part, _idx=idx, _u=unit):
                 return reindex(_part.builder(c * _u), {0: _idx})
 
-            add(canon, _Realizer(make_flat, lambda c: 4, f"gen{idx}-{part.tag}"))
+            add(canon, False, make_flat)
 
     # smallest-first greedy subset whose gcd is the unit ideal
     chosen: list[int] = []
@@ -522,13 +460,11 @@ def decide_normal_generation(s: GenSet, assume_el_generates: bool = True) -> Dec
 
     coeffs = _bezout_chain(chosen, ring)
     pieces = []
-    terms = []
     for value, coeff in zip(chosen, coeffs):
         if coeff == 0:
             continue
-        realizer = min(pool[value], key=lambda r: r.cost(coeff))
-        pieces.append(realizer.make(coeff))
-        terms.append((value, coeff, realizer.kind))
+        _, make = min(pool[value], key=lambda r: abs(coeff) if r[0] else DEPTH)
+        pieces.append(make(coeff))
     word = concat(*pieces) if pieces else ConjWord.empty()
     verify_word(word, s, elementary(1, n, 1, n, ring))
     if len(word) > 4 * len(s.elements) * (n + 1):
@@ -537,7 +473,6 @@ def decide_normal_generation(s: GenSet, assume_el_generates: bool = True) -> Dec
         True,
         certificate=word,
         certificate_length=len(word),
-        terms=terms,
         assume_el_generates=assume_el_generates,
     )
 

@@ -13,7 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import log2
 
-from .errors import BadRegime, DegenerateGroup, DuplicatePrime, NotPrime, SelfCheckFailed
+from .errors import (
+    BadRegime,
+    DegenerateGroup,
+    DuplicatePrime,
+    MalformedInput,
+    NotPrime,
+    SelfCheckFailed,
+)
 from .ideals import PrimeSupport, pi_support
 from .matrices import elementary, identity
 from .rings import RingSpec, inv_unit, is_prime
@@ -112,6 +119,8 @@ def build_lower_witness(n: int, primes: list[int]) -> LowerBoundWitness:
 # ---------------------------------------------------------------------------
 
 REGIMES = ("infinite-maximal-ideals", "semilocal", "number-ring", "residue")
+# the parameter a regime needs, with its least value
+_NEEDS = {"infinite-maximal-ideals": ("c_n", 1), "semilocal": ("d", 1), "residue": ("l", 2)}
 
 
 @dataclass(frozen=True)
@@ -128,11 +137,19 @@ def delta_upper(n: int, k: int, regime: str, **params) -> BoundResult:
     * semilocal: 12(n-1) * min(d, k(n+1)), d the number of maximal ideals.
     * number-ring: (4n+51)(4n+4)k, from the base bound 63 in dimension 3.
     * residue: 12 * omega(l) * (n-1), independent of k.
+
+    A regime parameter that is missing or too small (c_n, d < 1; l < 2)
+    raises MalformedInput naming it.
     """
     if n < 3:
         raise ValueError("bounds hold for n >= 3")
     if k < 1:
         raise ValueError("k must be positive")
+    if regime in _NEEDS:
+        name, least = _NEEDS[regime]
+        value = params.get(name)
+        if value is None or value < least:
+            raise MalformedInput(f"regime {regime} needs {name} >= {least}, got {value}")
     if regime == "infinite-maximal-ideals":
         cn = params["c_n"]
         return BoundResult((4 * n + 4) * cn * k, f"(4n+4)*C_n*k with C_n={cn}", regime)

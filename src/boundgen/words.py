@@ -162,24 +162,21 @@ def substitute(
     outer: GenSet,
     dictionary: dict[int, ConjWord],
     inner: GenSet,
-    check: bool = True,
 ) -> ConjWord:
     """Rewrite a word over `outer` as a word over `inner`.
 
-    dictionary[t] must be a word over `inner` evaluating to outer[t]; the
-    result evaluates to the same matrix as w and has length at most
-    len(w) * max length of the dictionary entries.
+    dictionary[t] must be a word over `inner` evaluating to outer[t] (each
+    entry used is replayed); the result evaluates to the same matrix as w
+    and has length at most len(w) * max length of the dictionary entries.
     """
-    cache: dict[int, ConjWord] = {}
     for t in {l.gen for l in w.letters}:
         if t not in dictionary:
             raise MissingSubstitution(f"no entry for generator {t}")
-        if check and eval_word(dictionary[t], inner) != outer[t]:
+        if eval_word(dictionary[t], inner) != outer[t]:
             raise BadDictEntry(f"entry for generator {t} evaluates to the wrong matrix")
-        cache[t] = dictionary[t]
     parts: list[ConjWord] = []
     for letter in w.letters:
-        piece = cache[letter.gen]
+        piece = dictionary[letter.gen]
         if letter.exp == -1:
             piece = invert(piece)
         parts.append(conjugate_word(piece, letter.conj))

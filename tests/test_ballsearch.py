@@ -117,16 +117,23 @@ def test_norm_axioms_exhaustive(s3):
 
 
 def test_backtrack_words_replay(sl32):
-    e = elementary(1, 2, 1, 3, F2)
-    rpt = ball_bfs(sl32, [e])
-    gens = GenSet((e,))
-    rng = SplitMix64(181)
-    for _ in range(50):
-        idx = rng.randint(0, sl32.order - 1)
-        m = sl32.matrix_at(idx)
-        w = backtrack_word(rpt, m)
-        assert len(w) == rpt.norm_of(m)
-        assert eval_word(w, gens) == m
+    # over F2 every E_ij(1) is an involution, so a letter with a flipped
+    # exponent replays the same; E_12(1) has order 5 and normally generates
+    # SL(2,F5), where it cannot
+    f5 = RingSpec.prime_field(5)
+    for table, e in (
+        (sl32, elementary(1, 2, 1, 3, F2)),
+        (enumerate_group(f5, 2), elementary(1, 2, 1, 2, f5)),
+    ):
+        rpt = ball_bfs(table, [e])
+        gens = GenSet((e,))
+        rng = SplitMix64(181)
+        for _ in range(50):
+            idx = rng.randint(0, table.order - 1)
+            m = table.matrix_at(idx)
+            w = backtrack_word(rpt, m)
+            assert len(w) == rpt.norm_of(m)
+            assert eval_word(w, gens) == m
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -178,6 +178,14 @@ def test_bound_verb(capsys):
     assert out_json(capsys)["value"] == 48
 
 
+def test_bound_verb_bad_parameter_is_an_input_error(capsys):
+    argv = ["bound", "--regime", "infinite-maximal-ideals", "--n", "3", "--c-n", "-3"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs c_n >= 1, got -3" in captured.err
+
+
 def test_class_bound_verb(capsys):
     assert run(
         ["class-bound", "--order", "168", "--delta", "2", "--class-size", "21"]

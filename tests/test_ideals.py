@@ -105,8 +105,8 @@ def test_hessenberg_ideal_bad_indices():
 
 def test_hessenberg_ideal_negation_closure():
     cert = hessenberg_ideal(elementary(2, 1, 7, 3, Z), 1, 3, 2)
-    plus = eval_word(cert.word_for(2), cert.genset)
-    minus = eval_word(cert.word_for(-2), cert.genset)
+    plus = eval_word(cert.builder(2), GenSet((cert.a,)))
+    minus = eval_word(cert.builder(-2), GenSet((cert.a,)))
     assert plus * minus == identity(3, Z)
 
 
@@ -148,14 +148,19 @@ def test_scalar_obstruction_examples():
 
 
 def test_scalar_obstruction_depth_and_parts():
+    # construction replays each transported part at x = 1 only; the builders
+    # are parametric, so replay them away from 1 too (n = 3 includes the
+    # transposed corner certificate)
     rng = SplitMix64(113)
-    for n in (3, 4, 5):
-        a = rand_sl(rng, n, Z, k=4)
-        so = scalar_obstruction_ideal(a)
-        assert len(so.parts) == n + 1
-        assert so.depth_total <= 4 * n + 4
-        for part in so.parts:
-            part.verify(1)
+    for ring in (Z, Z12):
+        for n in (3, 4, 5):
+            for _ in range(4):
+                so = scalar_obstruction_ideal(rand_sl(rng, n, ring, k=4))
+                assert len(so.parts) == n + 1
+                assert so.depth_total <= 4 * n + 4
+                for part in so.parts:
+                    for x in (1, -3, 2, 7):
+                        part.verify(x)
 
 
 def test_scalar_obstruction_soundness_random():

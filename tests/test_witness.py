@@ -1,6 +1,12 @@
 import pytest
 
-from boundgen.errors import BadRegime, DegenerateGroup, DuplicatePrime, NotPrime
+from boundgen.errors import (
+    BadRegime,
+    DegenerateGroup,
+    DuplicatePrime,
+    MalformedInput,
+    NotPrime,
+)
 from boundgen.matrices import elementary
 from boundgen.rings import RingSpec
 from boundgen.witness import (
@@ -62,6 +68,19 @@ def test_delta_upper_values():
     assert delta_upper(4, 2, "number-ring").value == (4 * 4 + 51) * (4 * 4 + 4) * 2
     with pytest.raises(BadRegime):
         delta_upper(3, 1, "nonsense")
+    # a missing or out-of-range regime parameter is named in a typed error
+    for regime, params, name in (
+        ("infinite-maximal-ideals", {"c_n": -3}, "c_n"),
+        ("infinite-maximal-ideals", {"c_n": 0}, "c_n"),
+        ("infinite-maximal-ideals", {}, "c_n"),
+        ("semilocal", {"d": 0}, "d"),
+        ("semilocal", {}, "d"),
+        ("residue", {"l": 1}, "l"),
+        ("residue", {"l": 0}, "l"),
+        ("residue", {}, "l"),
+    ):
+        with pytest.raises(MalformedInput, match=rf"\b{name}\b"):
+            delta_upper(3, 1, regime, **params)
 
 
 def test_delta_upper_residue_counts_prime_factors():
