@@ -23,8 +23,11 @@ norms match the definition over conjugates exactly.  The walk is level
 synchronous too: one batched numpy product conjugates a whole frontier by
 every generator, and fresh keys are marked in a bool array.
 
-Delta_k searches sets of class units (a nontrivial class with the class of
-its inverses), one unit more per level; a set's alphabet is its units' union.
+Delta_k ranges over sets of class units (a nontrivial class with the class
+of its inverses); a set's alphabet is its units' union.  A unit set
+normally generates iff no maximal normal subgroup contains it, so only the
+minimal hitting sets of the maximal subgroups' complements are searched.
+The maximal subgroups come from joins of the single-class closures.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .witness import sl_order
 from .words import ConjWord, GenSet, Letter
 
 DEFAULT_BUDGET = 2 ** 24
-SET_BUDGET = 2 ** 16  # candidate class sets one Delta_k search may build
 DENSE_KEY_LIMIT = 2 ** 27
 _SENT = np.uint16(0xFFFF)
 _GATHER_CELLS = 2 ** 17  # frontier rows x letters per gather block
@@ -52,14 +54,6 @@ def sl_order_mod(n: int, l: int) -> int:
     for p, e in factorize(l).items():
         out *= p ** ((e - 1) * (n * n - 1)) * sl_order(n, p)
     return out
-
-
-def _scalars(n: int, ring: RingSpec) -> list[int]:
-    """Units lambda with lambda^n = 1: the scalar matrices in SL(n, ring)."""
-    q = ring.modulus
-    return [
-        lam for lam in range(1, q) if is_unit(lam, ring) and pow(lam, n, q) == 1
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -83,14 +77,6 @@ class FiniteGroupTable:
     gens: list[tuple]
     scalars: list[int]
 
-    _powers: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        q = self.ring.modulus
-        self._powers = np.array(
-            [q ** i for i in range(self.n * self.n)], dtype=np.int64
-        )
-
     @property
     def order(self) -> int:
         return int(self.keys.size)
@@ -101,49 +87,25 @@ class FiniteGroupTable:
 
     # -- scalar/batch key codecs -----------------------------------------
 
-    def encode(self, mats: np.ndarray) -> np.ndarray:
-        flat = mats.reshape(mats.shape[0], -1).astype(np.int64)
-        return flat @ self._powers
-
-    def encode_one(self, m: tuple) -> int:
-        """Positional key of one entry grid (no scalar canonicalization)."""
-        q = self.ring.modulus
-        key = 0
-        mult = 1
-        for row in m:
-            for v in row:
-                key += v * mult
-                mult *= q
-        return key
-
     def decode(self, keys: np.ndarray) -> np.ndarray:
         q = self.ring.modulus
-        m = self.n * self.n
-        rest = keys.astype(np.int64).copy()
-        out = np.empty((keys.size, m), dtype=np.int64)
-        for idx in range(m):
-            out[:, idx] = rest % q
-            rest //= q
-        return out.reshape(keys.size, self.n, self.n)
+        digits = keys.astype(np.int64)[:, None] // q ** np.arange(self.n * self.n, dtype=np.int64)
+        return (digits % q).reshape(-1, self.n, self.n)
 
     def canonical_keys(self, mats: np.ndarray) -> np.ndarray:
         """Keys of the matrices, minimized over scalar multiples when psl."""
         q = self.ring.modulus
+        flat = mats.reshape(len(mats), -1).astype(np.int64)
+        powers = q ** np.arange(self.n * self.n, dtype=np.int64)
         if not self.psl:
-            return self.encode(mats)
-        best = None
-        for lam in self.scalars:
-            cand = self.encode((mats * lam) % q)
-            best = cand if best is None else np.minimum(best, cand)
-        return best
+            return flat @ powers
+        return np.min([flat * lam % q @ powers for lam in self.scalars], axis=0)
 
     def key_of(self, m: tuple) -> int:
         """Key of one entry grid, minimized over scalar multiples when psl."""
         q = self.ring.modulus
-        return min(
-            self.encode_one(tuple(tuple(v * lam % q for v in row) for row in m))
-            for lam in self.scalars
-        )
+        flat = [v for row in m for v in row]
+        return min(sum(v * lam % q * q ** i for i, v in enumerate(flat)) for lam in self.scalars)
 
     def index_of_key(self, key: int) -> int:
         pos = int(np.searchsorted(self.keys, key))
@@ -184,24 +146,24 @@ def enumerate_group(
         )
     full_group = gens is None
     if full_group:
-        gen_mats = [
+        gens = [
             elementary(i, j, v, n, ring)
             for i in range(1, n + 1)
             for j in range(1, n + 1)
             if i != j
             for v in (1, q - 1)
         ]
-    else:
-        gen_mats = list(gens)
     gens_t: list[tuple] = []
-    for g in gen_mats:
+    for g in gens:
         if g.ring != ring or g.n != n:
             raise RingMismatch("generator ring/dimension mismatch")
         for m in (g.entries, g.inv().entries):
             if m not in gens_t:
                 gens_t.append(m)
 
-    scalars = _scalars(n, ring) if psl else [1]
+    # the scalar matrices in SL(n, ring): units lam with lam^n = 1
+    scalars = [lam for lam in range(1, q) if is_unit(lam, ring) and pow(lam, n, q) == 1]
+    scalars = scalars if psl else [1]
     table = FiniteGroupTable(ring, n, psl, np.empty(0, dtype=np.int64), gens_t, scalars)
     levels, _ = _frontier_levels(table, gens_t, budget)
     table.keys = np.flatnonzero(levels != _SENT)
@@ -326,9 +288,7 @@ class BallReport:
 
     @property
     def diameter(self) -> int | None:
-        if not self.normally_generates:
-            return None
-        return int(self.norms.max())
+        return int(self.norms.max()) if self.normally_generates else None
 
     def norm_of(self, m: MatrixSL) -> int | None:
         v = self._dense[self.table.key_of(m.entries)]
@@ -464,19 +424,28 @@ def conjugacy_classes(table: FiniteGroupTable) -> list[ConjClass]:
 
 @dataclass
 class ClassBall:
-    """The ball search from the representative of one nontrivial class."""
+    """The ball search from the representative of one nontrivial class.
+
+    reaches is the class's normal closure as a bitmask over the distinct
+    units in class order.
+    """
 
     cls: ConjClass
     rep: MatrixSL
     unit: tuple[int, ...]  # sorted keys of the class and of the class of rep^{-1}
     normally_generates: bool
     diameter: int | None
+    reaches: int
 
 
-def _alphabet_diameter(table: FiniteGroupTable, keys) -> int | None:
-    """Diameter of the BFS over the letters keys; None if they do not normally generate."""
-    _, growth = _frontier_levels(table, table.decode(np.asarray(keys, dtype=np.int64)))
-    return len(growth) - 1 if growth[-1] == table.order else None
+def _unit_search(table: FiniteGroupTable, units, firsts: np.ndarray) -> tuple[int | None, int]:
+    """The BFS over the keys of units: its diameter, None if they do not
+    normally generate, and the bitmask of the units it reaches (a normal
+    subgroup is a union of units, so each is read at its key in firsts)."""
+    keys = np.array([key for unit in units for key in unit], dtype=np.int64)
+    levels, growth = _frontier_levels(table, table.decode(keys))
+    reached = np.flatnonzero(levels[firsts] != _SENT).tolist()
+    return (len(growth) - 1 if growth[-1] == table.order else None), sum(1 << i for i in reached)
 
 
 def class_balls(table: FiniteGroupTable) -> list[ClassBall]:
@@ -488,17 +457,20 @@ def class_balls(table: FiniteGroupTable) -> list[ClassBall]:
     id_key = table.identity_key
     classes = conjugacy_classes(table)
     class_of = {key: cls for cls in classes for key in cls.keys}
-    diameters: dict[tuple[int, ...], int | None] = {}
-    out = []
-    for cls in classes:
-        if cls.rep_key == id_key:
-            continue
-        rep = table.matrix_at(table.index_of_key(cls.rep_key))
-        unit = tuple(sorted(set(cls.keys).union(class_of[table.key_of(rep.inv().entries)].keys)))
-        if unit not in diameters:
-            diameters[unit] = _alphabet_diameter(table, unit)
-        out.append(ClassBall(cls, rep, unit, diameters[unit] is not None, diameters[unit]))
-    return out
+    found = [
+        (c, table.matrix_at(table.index_of_key(c.rep_key))) for c in classes if c.rep_key != id_key
+    ]
+    units = [
+        tuple(sorted(set(c.keys).union(class_of[table.key_of(rep.inv().entries)].keys)))
+        for c, rep in found
+    ]
+    distinct = list(dict.fromkeys(units))
+    firsts = np.array([unit[0] for unit in distinct], dtype=np.int64)
+    searches = {unit: _unit_search(table, [unit], firsts) for unit in distinct}
+    return [
+        ClassBall(c, rep, unit, searches[unit][0] is not None, *searches[unit])
+        for (c, rep), unit in zip(found, units)
+    ]
 
 
 def is_simple(table: FiniteGroupTable) -> bool:
@@ -513,9 +485,9 @@ class DeltaReport:
     attained=False encodes the empty-supremum convention (no normally
     generating set of the allowed size exists); value is None in that case.
     witness holds a class rep per unit of a set attaining it.  checked_sets
-    counts the nontrivial classes plus the searched sets of 2+ units, none
-    when simple_shortcut (k > 1 and every nontrivial class generates alone).
-    classes holds the single-class searches every k starts from.
+    counts the nontrivial classes and, for k > 1, the searches run after
+    them.  simple_shortcut: k > 1 and every nontrivial class generates
+    alone.  classes holds the single-class searches every k starts from.
     """
 
     k: int
@@ -527,12 +499,55 @@ class DeltaReport:
     classes: list[ClassBall] = field(repr=False)
 
 
-def _class_set_levels(table: FiniteGroupTable, classes: list[ClassBall]):
-    """The DeltaReport for k = 1, 2, ... in turn, from one class-set search.
+def _minimal_generating_sets(table: FiniteGroupTable, units: list[ClassBall], firsts):
+    """The minimal normally generating unit sets, lexicographically, and the searches run.
 
-    A size-(s+1) candidate, a non-generating size-s set and a later unit, is
-    searched only if all its size-s subsets are non-generating: adding units
-    only shrinks norms.  Every candidate built counts against SET_BUDGET.
+    Maximal normal subgroups: walk up from the trivial one, joining one unit
+    at a time; a join is fixed by the union of the two unit sets, so it is
+    memoised by that union, and a miss is one search over N's generating
+    units and the new unit.  A set normally generates iff it hits each
+    maximal subgroup's complement; a minimal hitting set grows in unit order
+    while each of its units hits a complement that no other of them hits.
+    """
+    full = (1 << len(units)) - 1
+    join = {u.reaches: u.reaches for u in units}
+    gens: dict[int, tuple[int, ...]] = {0: ()}  # proper normal subgroup -> generating units
+    todo, searches = [0], 0  # todo grows while it is walked
+    for sub in todo:
+        for i, u in enumerate(units):
+            union = sub | u.reaches
+            if union not in join and union != full:
+                letters = [units[j].unit for j in gens[sub] + (i,)]
+                join[union] = _unit_search(table, letters, firsts)[1]
+                searches += 1
+            closed = join.get(union, full)
+            if closed not in gens and closed != full:
+                gens[closed], join[closed] = gens[sub] + (i,), closed
+                todo.append(closed)
+    tops = [sub for sub in todo if {join.get(sub | u.reaches, full) for u in units} <= {sub, full}]
+    hits = [sum(1 << m for m, t in enumerate(tops) if not t >> i & 1) for i in range(len(units))]
+    out = []
+
+    def grow(chosen, own, covered):  # own[j]: the complements only chosen[j] hits
+        if covered == (1 << len(tops)) - 1:
+            return out.append(chosen)
+        for i in range(chosen[-1] + 1 if chosen else 0, len(units)):
+            kept = [bits & ~hits[i] for bits in own] + [hits[i] & ~covered]
+            if all(kept):
+                grow(chosen + (i,), kept, covered | hits[i])
+
+    grow((), [], 0)
+    return out, searches
+
+
+def _delta_levels(table: FiniteGroupTable, classes: list[ClassBall]):
+    """The DeltaReport for k = 1, 2, ... in turn.
+
+    A unit set normally generates iff no maximal normal subgroup contains
+    it, and adding units only shrinks norms.  So Delta_k is the largest
+    diameter over the minimal such sets of at most k units, taken by size,
+    then in lexicographic unit order, keeping the first maximum.  k = 1
+    reads off the class searches alone.
     """
     best, witness, checked = None, [], len(classes)
     for c in classes:
@@ -541,33 +556,22 @@ def _class_set_levels(table: FiniteGroupTable, classes: list[ClassBall]):
     yield DeltaReport(1, best is not None, best, witness, False, checked, classes)
     first: dict[tuple[int, ...], ClassBall] = {}
     units = [first.setdefault(c.unit, c) for c in classes if c.unit not in first]
-    open_sets = {(i,) for i, c in enumerate(units) if not c.normally_generates}
-    size, built = 1, 0
-    while open_sets:
-        size += 1
-        next_open = set()
-        for base in sorted(open_sets):
-            for last in range(base[-1] + 1, len(units)):
-                built += 1
-                if built > SET_BUDGET:
-                    raise BudgetExceeded(f"class sets exceed the budget {SET_BUDGET}")
-                cand = base + (last,)
-                if any(cand[:i] + cand[i + 1 :] not in open_sets for i in range(size - 1)):
-                    continue
-                checked += 1
-                diameter = _alphabet_diameter(table, [key for i in cand for key in units[i].unit])
-                if diameter is None:
-                    next_open.add(cand)
-                elif best is None or diameter > best:
-                    best, witness = diameter, [units[i].rep for i in cand]
-        open_sets = next_open
+    firsts = np.array([u.unit[0] for u in units], dtype=np.int64)
+    sets, searches = _minimal_generating_sets(table, units, firsts)
+    checked += searches
+    for size in range(2, max([2, *map(len, sets)]) + 1):
+        for cand in (s for s in sets if len(s) == size):
+            diameter = _unit_search(table, [units[i].unit for i in cand], firsts)[0]
+            checked += 1
+            if best is None or diameter > best:
+                best, witness = diameter, [units[i].rep for i in cand]
         yield DeltaReport(size, best is not None, best, witness, False, checked, classes)
 
 
 def delta_exhaustive(
     table: FiniteGroupTable, k: int | None = 1, classes: list[ClassBall] | None = None
 ) -> DeltaReport:
-    """Delta_k by exhaustive search over sets of at most k class units.
+    """Delta_k, the sup over sets of at most k class units.
 
     ||.||_S is the word norm over conj(S u S^{-1}), so it depends only on the
     class units S meets.  k=None ranges over all set sizes (the unqualified
@@ -577,7 +581,7 @@ def delta_exhaustive(
     if k is not None and k < 1:
         raise MalformedInput(f"Delta_k needs k >= 1, got {k}")
     classes = class_balls(table) if classes is None else classes
-    for rpt in _class_set_levels(table, classes):
+    for rpt in _delta_levels(table, classes):
         if rpt.k == k:
             break
     simple = k != 1 and bool(classes) and all(c.normally_generates for c in classes)
@@ -585,13 +589,8 @@ def delta_exhaustive(
 
 
 def normal_generation(table: FiniteGroupTable) -> DeltaReport:
-    """Delta_{n0}, n0 the first set size at which a set of class units normally generates."""
-    for rpt in _class_set_levels(table, class_balls(table)):
+    """Delta_{n0}, n0 the size of the smallest normally generating set of class units."""
+    for rpt in _delta_levels(table, class_balls(table)):
         if rpt.attained:
             break
     return rpt
-
-
-def normal_generation_number(table: FiniteGroupTable) -> int:
-    """Smallest k admitting a normally generating set of size k."""
-    return normal_generation(table).k

@@ -55,14 +55,6 @@ class IndexOutOfRange(BoundgenError):
     """Word letter references a generator index outside the generating set."""
 
 
-class MissingSubstitution(BoundgenError):
-    """Substitution dictionary does not cover a generator used by the word."""
-
-
-class BadDictEntry(BoundgenError):
-    """Substitution entry evaluates to the wrong matrix."""
-
-
 class VerificationFailed(BoundgenError):
     """A certificate does not replay to its claimed target."""
 

@@ -409,12 +409,6 @@ class IdealGen:
     def __post_init__(self):
         object.__setattr__(self, "generator", _canonical_gen(self.generator, self.ring))
 
-    def is_zero(self) -> bool:
-        return self.generator == 0
-
-    def is_unit_ideal(self) -> bool:
-        return is_unit(self.generator, self.ring)
-
     def contains(self, x: int) -> bool:
         ring = self.ring
         if ring.modulus is None:

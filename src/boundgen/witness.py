@@ -216,33 +216,3 @@ def sl_order(n: int, q: int) -> int:
         out *= q ** k - 1
     return out
 
-
-def psl_order(n: int, q: int) -> int:
-    from math import gcd
-
-    return sl_order(n, q) // gcd(n, q - 1)
-
-
-@dataclass(frozen=True)
-class PslChainCheck:
-    """Exact verification of the class-size chain for PSL(n, q).
-
-    The chain bottoms out at log2|G| >= (n^2 - 2) log2 q - 2, an inequality
-    between integers once exponentiated: 4|G| >= q^{n^2-2}.
-    """
-
-    n: int
-    q: int
-    order: int
-    lhs: int  # 4 |G|
-    rhs: int  # q^{n^2 - 2}
-    holds: bool
-
-
-def psl_chain_check(n: int, q: int) -> PslChainCheck:
-    if n < 3:
-        raise ValueError("chain stated for n >= 3")
-    order = psl_order(n, q)
-    lhs = 4 * order
-    rhs = q ** (n * n - 2)
-    return PslChainCheck(n, q, order, lhs, rhs, lhs >= rhs)

@@ -16,14 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import (
-    BadDictEntry,
-    DimMismatch,
-    IndexOutOfRange,
-    MissingSubstitution,
-    RingMismatch,
-    VerificationFailed,
-)
+from .errors import DimMismatch, IndexOutOfRange, RingMismatch, VerificationFailed
 from .matrices import MatrixSL, identity
 
 
@@ -155,32 +148,6 @@ def power_word(gen: int, e: int, conj: MatrixSL) -> ConjWord:
         return ConjWord.empty()
     sign = 1 if e > 0 else -1
     return ConjWord(tuple(Letter(gen, sign, conj) for _ in range(abs(e))))
-
-
-def substitute(
-    w: ConjWord,
-    outer: GenSet,
-    dictionary: dict[int, ConjWord],
-    inner: GenSet,
-) -> ConjWord:
-    """Rewrite a word over `outer` as a word over `inner`.
-
-    dictionary[t] must be a word over `inner` evaluating to outer[t] (each
-    entry used is replayed); the result evaluates to the same matrix as w
-    and has length at most len(w) * max length of the dictionary entries.
-    """
-    for t in {l.gen for l in w.letters}:
-        if t not in dictionary:
-            raise MissingSubstitution(f"no entry for generator {t}")
-        if eval_word(dictionary[t], inner) != outer[t]:
-            raise BadDictEntry(f"entry for generator {t} evaluates to the wrong matrix")
-    parts: list[ConjWord] = []
-    for letter in w.letters:
-        piece = dictionary[letter.gen]
-        if letter.exp == -1:
-            piece = invert(piece)
-        parts.append(conjugate_word(piece, letter.conj))
-    return concat(*parts)
 
 
 def transpose_word(w: ConjWord) -> ConjWord:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -17,11 +18,12 @@ from boundgen.ballsearch import (
     delta_exhaustive,
     enumerate_group,
     is_simple,
-    normal_generation_number,
+    normal_generation,
     sl_order_mod,
 )
 from boundgen.cli import run
 from boundgen.errors import BudgetExceeded, RingMismatch, SelfCheckFailed
+from boundgen.inequalities import product_table
 from boundgen.matrices import MatrixSL, elementary, identity
 from boundgen.rand import SplitMix64
 from boundgen.rings import RingSpec
@@ -192,8 +194,38 @@ def test_delta_monotone(sl24):
 
 
 def test_normal_generation_number(sl24, s3):
-    assert normal_generation_number(sl24) == 1
-    assert normal_generation_number(s3) == 1
+    assert normal_generation(sl24).k == 1
+    assert normal_generation(s3).k == 1
+    # no single class normally generates S3 x S3; two transpositions, one
+    # per factor, do
+    s3_gens = [elementary(1, 2, 1, 2, F2), elementary(2, 1, 1, 2, F2)]
+    rpt = normal_generation(product_table([s3_gens, s3_gens], F2))
+    assert (rpt.k, rpt.attained, rpt.value, len(rpt.witness)) == (2, True, 4, 2)
+
+
+@pytest.mark.parametrize(
+    "l, k, value",
+    [
+        (6, 1, 4),
+        (6, 2, 5),  # two maximal normal subgroups, so Delta_2 > Delta_1 can happen
+        (6, None, 5),
+        (8, None, 6),
+        (12, None, 6),
+    ],
+)
+def test_delta_sl2_residue_rings(l, k, value):
+    start = time.perf_counter()
+    rpt = delta_exhaustive(enumerate_group(RingSpec.residue(l), 2), k)
+    assert time.perf_counter() - start < 5
+    assert rpt.attained and rpt.value == value
+
+
+@pytest.mark.parametrize("k", [1, 2, None])
+def test_delta_trivial_group_unattained(k):
+    table = enumerate_group(F2, 2, gens=[identity(2, F2)])
+    assert table.order == 1
+    rpt = delta_exhaustive(table, k)
+    assert not rpt.attained and rpt.value is None and rpt.witness == []
 
 
 def test_quotient_ball_compat(sl24):
@@ -221,11 +253,11 @@ def test_ball_multiplicativity_setwise(s3):
     for a in range(rpt.diameter + 1):
         for b in range(rpt.diameter + 1 - a):
             prod = {
-                s3.encode_one((x * y).entries)
+                s3.key_of((x * y).entries)
                 for x in mats_by_level[a]
                 for y in mats_by_level[b]
             }
-            assert prod == {s3.encode_one(m.entries) for m in mats_by_level[a + b]}
+            assert prod == {s3.key_of(m.entries) for m in mats_by_level[a + b]}
 
 
 def test_class_closure_membership_error(s3):

@@ -163,6 +163,10 @@ def test_delta_verb(capsys):
     # SL(2,F11) has 1,320 elements; a search over class sets needs no order limit
     assert run(["delta", "--ring", "Fp:11", "--n", "2", "--k", "2"]) == 0
     assert out_json(capsys)["delta"] == 3
+    # SL(2,Z/12) has two maximal normal subgroups, so no set of more than
+    # two class units needs a search
+    assert run(["delta", "--ring", "Zmod:12", "--n", "2", "--k", "5"]) == 0
+    assert out_json(capsys)["delta"] == 6
 
 
 def test_witness_lower_verb(capsys):

@@ -182,20 +182,21 @@ def test_cross_check_stable_vs_direct():
 
 def test_factorization_composes_with_substitution():
     # every elementary letter rewrites as a 2-letter word over {E_{1,n}(1)},
-    # bounding the norm of any SL(3, Z/12) element by 2 * 3(n-1) in that set
+    # bounding the norm of any SL(3, Z/12) element by 2 * 3(n-1) in that set:
+    # c E^e c^{-1} is the e-th power of the 2-letter word, conjugated by c
     from boundgen.matrices import as_elementary
-    from boundgen.words import GenSet, substitute
+    from boundgen.words import GenSet, concat, conjugate_word, invert
 
     rng = SplitMix64(179)
     base = GenSet((elementary(1, 3, 1, 3, Z12),))
     for _ in range(20):
         a = rand_sl(rng, 3, Z12, k=6)
         fact = factor_semilocal(a)
-        dictionary = {}
-        for idx, gen in enumerate(fact.genset.elements):
-            spec = as_elementary(gen)
+        parts = []
+        for letter in fact.word.letters:
+            spec = as_elementary(fact.genset[letter.gen])
             _, word = elem_as_two(spec.i, spec.j, spec.x, 3, Z12)
-            dictionary[idx] = word
-        combined = substitute(fact.word, fact.genset, dictionary, base)
+            parts.append(conjugate_word(word if letter.exp == 1 else invert(word), letter.conj))
+        combined = concat(*parts)
         assert eval_word(combined, base) == a
         assert len(combined) <= 2 * 3 * (3 - 1)

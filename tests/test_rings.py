@@ -187,7 +187,7 @@ def test_ideal_gen_canonical(z, z12):
     assert IdealGen(-6, z).generator == 6
     assert IdealGen(10, z12).generator == 2
     assert IdealGen(5, z12).generator == 1  # unit ideal
-    assert IdealGen(0, z12).is_zero()
+    assert IdealGen(0, z12).generator == 0
     assert (IdealGen(4, z) + IdealGen(6, z)).generator == 2
     assert IdealGen(4, z) <= IdealGen(2, z)
     assert not (IdealGen(2, z) <= IdealGen(4, z))

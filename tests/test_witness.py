@@ -13,8 +13,6 @@ from boundgen.witness import (
     build_lower_witness,
     class_size_lower,
     delta_upper,
-    psl_chain_check,
-    psl_order,
     sl_order,
 )
 from boundgen.words import eval_word
@@ -109,14 +107,3 @@ def test_orders():
     assert sl_order(2, 3) == 24
     assert sl_order(3, 2) == 168
     assert sl_order(3, 3) == 5616
-    assert psl_order(3, 2) == 168
-    assert psl_order(2, 3) == 12
-    assert psl_order(3, 4) == sl_order(3, 4) // 3
-
-
-@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (3, 5), (4, 2), (4, 3), (5, 2)])
-def test_psl_chain(n, q):
-    chk = psl_chain_check(n, q)
-    assert chk.holds
-    assert chk.lhs == 4 * psl_order(n, q)
-    assert chk.rhs == q ** (n * n - 2)

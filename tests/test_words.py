@@ -1,6 +1,6 @@
 import pytest
 
-from boundgen.errors import BadDictEntry, MissingSubstitution, VerificationFailed
+from boundgen.errors import VerificationFailed
 from boundgen.matrices import elementary, identity
 from boundgen.rand import SplitMix64
 from boundgen.rings import RingSpec
@@ -13,7 +13,6 @@ from boundgen.words import (
     eval_word,
     invert,
     power_word,
-    substitute,
     transpose_word,
     verify_word,
 )
@@ -78,50 +77,6 @@ def test_power_word():
     assert eval_word(w, gens) == gens[0] ** 3
     assert eval_word(power_word(0, -2, identity(3, Z)), gens) == gens[0] ** -2
     assert len(power_word(0, 0, identity(3, Z))) == 0
-
-
-def test_substitute_preserves_eval_and_bounds_length():
-    # outer generators expressed as words over an inner set
-    inner = GenSet((elementary(1, 3, 1, 3, Z), elementary(3, 2, 5, 3, Z)))
-    e12_5 = elementary(1, 2, 5, 3, Z)
-    # E_{1,2}(5) = [E_{1,3}(1), E_{3,2}(5)] as a 2-letter word over inner
-    dict_word = ConjWord(
-        (
-            Letter(0, 1, identity(3, Z)),
-            Letter(0, -1, inner[1]),
-        )
-    )
-    assert eval_word(dict_word, inner) == e12_5
-    outer = GenSet((e12_5,))
-    rng = SplitMix64(47)
-    w = random_word(rng, outer, 3)
-    out = substitute(w, outer, {0: dict_word}, inner)
-    assert eval_word(out, inner) == eval_word(w, outer)
-    assert len(out) <= len(w) * len(dict_word)
-
-
-def test_substitute_length_one_entries_preserve_length():
-    gens, rng = small_genset(seed=53)
-    w = random_word(rng, gens, 4)
-    dictionary = {
-        0: ConjWord.single(0, 1, identity(3, Z)),
-        1: ConjWord.single(1, 1, identity(3, Z)),
-    }
-    out = substitute(w, gens, dictionary, gens)
-    assert len(out) == 4
-    assert eval_word(out, gens) == eval_word(w, gens)
-
-
-def test_substitute_errors():
-    gens, _ = small_genset(seed=59)
-    w = ConjWord(
-        (Letter(0, 1, identity(3, Z)), Letter(1, 1, identity(3, Z)))
-    )
-    with pytest.raises(MissingSubstitution):
-        substitute(w, gens, {0: ConjWord.single(0, 1, identity(3, Z))}, gens)
-    bad = {i: ConjWord.single(0, 1, identity(3, Z)) for i in range(2)}
-    with pytest.raises(BadDictEntry):
-        substitute(w, gens, bad, gens)
 
 
 def test_transpose_word():
