@@ -18,6 +18,7 @@ column) v is conjugate to E_{1,n}(gcd v).  `ideals` uses the column case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     BadIndex,
@@ -28,6 +29,7 @@ from .errors import (
 )
 from .hessenberg import gcd_reduce_col, gcd_reduce_row, to_hessenberg
 from .matrices import (
+    _MEMO_SIZE,
     ElemSpec,
     MatrixSL,
     as_elementary,
@@ -99,6 +101,7 @@ def _assemble(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def elem_conjugacy_normalize(i: int, j: int, n: int, ring: RingSpec) -> MatrixSL:
     """N with N E_{i,j}(x) N^{-1} = E_{1,n}(x) for every x; needs n >= 3.
 

@@ -17,6 +17,7 @@ right-multiplies every conjugator by P.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 from .errors import (
@@ -150,6 +151,7 @@ def _over(
     right-multiplied by p.  The result is replayed at x = 1.
     """
 
+    @cache  # one certificate's words, so a nested verify(1) builds each once
     def builder(x: int) -> ConjWord:
         return ConjWord(tuple(Letter(l.gen, l.exp, l.conj * p) for l in word(x).letters))
 
@@ -189,6 +191,7 @@ def hessenberg_ideal(a: MatrixSL, i: int, l: int, j: int) -> ECertificate:
     else:  # u = 0 (a scalar input, say): the zero ideal, with the identity conjugator
         t_u, conj_c = 0, identity(n, ring)
 
+    @cache  # one certificate's words, so a nested verify(1) builds each once
     def builder(x: int) -> ConjWord:
         _, word = double_commutator(a, i, j, j, l, x)
         return conjugate_word(word, conj_c)

@@ -16,10 +16,11 @@ from .ballsearch import (
     BallReport,
     DeltaReport,
     FiniteGroupTable,
+    _delta_levels,
     ball_bfs,
+    class_balls,
     delta_exhaustive,
     enumerate_group,
-    normal_generation,
 )
 from .matrices import MatrixSL, elementary, embed_block, reduce_ring
 from .rings import RingSpec
@@ -50,11 +51,20 @@ def _reduce_keys(table_g: FiniteGroupTable, table_h: FiniteGroupTable, keys) -> 
 def check_quotient_bound(
     table_g: FiniteGroupTable, table_h: FiniteGroupTable, k: int = 1
 ) -> CheckRow:
-    """Delta_k(H) <= Delta_{n0+k}(G) through a reduction epimorphism."""
-    dn0 = normal_generation(table_g)
-    n0 = dn0.k
+    """Delta_k(H) <= Delta_{n0+k}(G) through a reduction epimorphism.
+
+    Delta_{n0} and Delta_{n0+k} of G come from one walk of its levels, so
+    its maximal normal subgroups are found once.
+    """
+    levels = _delta_levels(table_g, class_balls(table_g))
+    for dn0 in levels:  # the first attained level is Delta_{n0}
+        if dn0.attained:
+            break
+    n0, dg = dn0.k, dn0
+    for dg in levels:  # Delta_{n0+k}, or the last level if the walk ends first
+        if dg.k == n0 + k:
+            break
     dh = delta_exhaustive(table_h, k)
-    dg = delta_exhaustive(table_g, n0 + k, classes=dn0.classes)
     return CheckRow(
         f"quotient: Delta_{k}(H) <= Delta_{n0}+{k}(G)",
         dh.value,

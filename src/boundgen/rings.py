@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, lru_cache
 from typing import Iterable
 
 from .errors import (
@@ -36,6 +37,8 @@ _TRIAL_LIMIT = 10 ** 6
 _COFACTOR_BUDGET = 2 ** 64
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# moduli whose RingSpec.residue is kept, so each is factored once
+_RESIDUE_MEMO = 256
 
 
 def is_prime(n: int) -> bool:
@@ -175,10 +178,12 @@ class RingSpec:
     maximal_ideals: tuple[int, ...] | None = None
 
     @staticmethod
+    @cache
     def integers() -> "RingSpec":
         return RingSpec(KIND_Z, None, None)
 
     @staticmethod
+    @lru_cache(maxsize=_RESIDUE_MEMO)
     def residue(l: int) -> "RingSpec":
         if l < 2:
             raise ValueError("residue modulus must be >= 2")

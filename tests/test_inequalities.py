@@ -1,3 +1,4 @@
+from boundgen import ballsearch
 from boundgen.ballsearch import delta_exhaustive, enumerate_group
 from boundgen.inequalities import (
     check_ball_image,
@@ -35,6 +36,25 @@ def test_quotient_bound():
     g = enumerate_group(RingSpec.residue(4), 2)
     h = enumerate_group(RingSpec.residue(2), 2)
     assert check_quotient_bound(g, h).holds
+
+
+def test_quotient_bound_walks_levels_once(monkeypatch):
+    # S3 x S3 needs two class units (n0 = 2): Delta_2 and Delta_3 of G come
+    # from one walk of its maximal normal subgroups, not one walk each
+    gens = [elementary(1, 2, 1, 2, F2), elementary(2, 1, 1, 2, F2)]
+    g = product_table([gens, gens], F2)
+    h = enumerate_group(F2, 2)
+    searches = []
+    frontier_levels = ballsearch._frontier_levels
+
+    def counted(*args, **kwargs):
+        searches.append(1)
+        return frontier_levels(*args, **kwargs)
+
+    monkeypatch.setattr(ballsearch, "_frontier_levels", counted)
+    row = check_quotient_bound(g, h)
+    assert (row.lhs, row.rhs, row.holds, row.context["n0"]) == (2, 4, True, 2)
+    assert len(searches) == 31
 
 
 def test_extension_bound():

@@ -10,6 +10,7 @@ from boundgen.errors import (
     RingMismatch,
 )
 from boundgen.matrices import (
+    MAX_DIM,
     ElemSpec,
     MatrixSL,
     as_elementary,
@@ -53,6 +54,15 @@ def test_elem_basic(z, z6):
 def test_det_check_rejects(z):
     with pytest.raises(DeterminantNotOne):
         MatrixSL(2, z, ((1, 0), (0, 2)))
+    # every determinant routine (the closed forms, then Bareiss) reports the exact value
+    rng = random.Random(7)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(20):
+            rows = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
+            d = _det_ref(rows)
+            if d != 1:
+                with pytest.raises(DeterminantNotOne, match=f"determinant {d} "):
+                    MatrixSL(n, z, rows)
     with pytest.raises(DimMismatch):
         MatrixSL(2, z, ((1, 0, 0), (0, 1, 0)))
 
@@ -136,14 +146,14 @@ def _triple_loop(a, b, ring):
 
 
 def _big_sl(rng, n, ring, bound):
-    m = identity(n, ring)
-    for _ in range(2 * n):
+    m = identity(n, ring)  # SL(1) is trivial: no elementary matrices
+    for _ in range(2 * n if n > 1 else 0):
         i, j = rng.sample(range(1, n + 1), 2)
         m = m * elementary(i, j, rng.randint(-bound, bound), n, ring)
     return m
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 1, 8, MAX_DIM])
 @pytest.mark.parametrize(
     "ring, bound, reductions",
     [
@@ -162,7 +172,7 @@ def test_product_matches_triple_loop(n, ring, bound, reductions):
         for target in reductions:
             assert reduce_ring(a * b, target) == reduce_ring(a, target) * reduce_ring(b, target)
         seen.extend(v for row in a.entries + b.entries for v in row)
-    if ring.is_integers:
+    if ring.is_integers and n > 1:
         assert max(seen) > 2 ** 64 and min(seen) < -(2 ** 64)
 
 
@@ -262,12 +272,18 @@ def test_inverse_matches_adjugate(n, ring, bound):
 
 def test_memo_keeps_rings_apart():
     z4, z12 = RingSpec.residue(4), RingSpec.residue(12)
+    z5, f5 = RingSpec.residue(5), RingSpec.prime_field(5)
     rows = ((1, 3, 2), (0, 1, 3), (0, 0, 1))
-    for first, second in ((z4, z12), (z12, z4)):
+    # Z/5 and F5 share a modulus, so their matrices' hashes collide
+    for first, second in ((z4, z12), (z12, z4), (z5, f5), (f5, z5)):
         for ring in (first, second):
             a = MatrixSL(3, ring, rows)
             assert a.inv().ring == ring and a.inv().entries == _adjugate_ref([list(r) for r in rows], ring)
             assert (a * a).ring == ring and (a * a).entries == _triple_loop(rows, rows, ring)
+        a, b = MatrixSL(3, first, rows), MatrixSL(3, second, rows)
+        keyed = {a: first, b: second}
+        assert len(keyed) == 2 and keyed[a] == first and keyed[b] == second
+        assert a != b and a.inv() != b.inv() and a * a != b * b
 
 
 def test_raw_checks_determinant_under_optimize():
@@ -275,12 +291,18 @@ def test_raw_checks_determinant_under_optimize():
 
     proc = run_optimized("""
 from boundgen.errors import DeterminantNotOne
-from boundgen.matrices import _raw
+from boundgen.matrices import _raw, identity_with
 from boundgen.rings import RingSpec
 try:
     _raw(2, RingSpec.integers(), ((2, 0), (0, 1)))
 except DeterminantNotOne:
+    pass
+else:
+    raise SystemExit("a det-2 grid passed _raw")
+try:
+    identity_with(2, RingSpec.integers(), {(1, 1): 2})
+except DeterminantNotOne:
     raise SystemExit(0)
-raise SystemExit("a det-2 grid passed _raw")
+raise SystemExit("a det-2 grid passed identity_with")
 """)
     assert proc.returncode == 0, proc.stderr
