@@ -11,8 +11,16 @@ key, and right multiplication by a letter maps each row on its own.  So
 per BFS call one table per (scalar, letter, row) maps a row digit to that
 row's share of the image key, and the key of an image, scalar
 canonicalization included, is a minimum over scalars of n table lookups.
-New elements are marked straight in the level array.  The BFS is level
-synchronous, so levels never depend on visit order;
+New elements are marked straight in the level array.
+
+A level is a push or a pull (direction-optimizing BFS).  A push maps
+every frontier element by every letter.  Once fewer elements are
+unvisited than the frontier holds, a pull tests each unvisited element M
+instead and stops at its first letter a with M*a on the previous level.
+That is exact because every ball alphabet is closed under inverses, and a
+search that does not normally generate never pulls: it leaves at least
+|G - N| >= |N| elements unvisited.  The BFS is level synchronous, so
+levels never depend on visit order or direction;
 tests/test_ballsearch_reference.py checks keys, growth, norms and classes
 against a slow pure-Python BFS on small groups.
 
@@ -199,6 +207,19 @@ def _row_tables(table: FiniteGroupTable, letters: list[tuple] | np.ndarray) -> n
     return tables
 
 
+def _gather(tables: np.ndarray, keys: np.ndarray, q: int, n: int) -> np.ndarray:
+    """Keys of canonical(M*a), one row per M in keys, one column per letter
+    of the _row_tables: min over lam of sum_r T[lam, r][digit_r(M), a]."""
+    digits = [keys // q ** (n * r) % q ** n for r in range(n)]
+    images = None
+    for lam_tables in tables:
+        cand = lam_tables[0].take(digits[0], axis=0)
+        for r in range(1, n):
+            cand += lam_tables[r].take(digits[r], axis=0)
+        images = cand if images is None else np.minimum(images, cand)
+    return images
+
+
 def _frontier_levels(
     table: FiniteGroupTable, letters: list[tuple] | np.ndarray, budget: int | None = None
 ) -> tuple[np.ndarray, list[int]]:
@@ -212,9 +233,22 @@ def _frontier_levels(
     the base-q^n digit r of its key, and row r of M*a depends on row r of
     M alone.  With the _row_tables T, the key of canonical(M*a) is
     min over lam of sum_r T[lam, r][digit_r(M), a]: n gathers per scalar
-    for a block of frontier rows against all letters at once.  New
-    elements are marked straight in the level array, and the next
-    frontier is read back off it.
+    (_gather) for a block of keys against a run of letters at once.
+
+    A level pushes or pulls (direction-optimizing BFS: Beamer, Asanovic and
+    Patterson, SC 2012).  A push gathers each frontier element against
+    every letter and marks the unvisited images.  Once fewer elements are
+    unvisited than the frontier holds, the level pulls instead: each
+    unvisited M is on this level iff M*a lies on the previous one for some
+    letter a, and candidates are tested against a slice of
+    _GATHER_CELLS // candidates letters at a time, a hit leaving the
+    candidates.  This needs the alphabet closed under inverses (M = P*a^-1),
+    which every ball alphabet is: class_closure takes S and S^-1, and a
+    unit is a class with its inverse class.  Both directions fill the same
+    level, so the levels do not depend on which one ran.  A search that
+    does not normally generate never pulls: its unvisited count is at least
+    |G - N| >= |N|, more than any frontier.  Neither does enumerate_group,
+    whose table.order is 0 while the table is filled.
     """
     q, n = table.ring.modulus, table.n
     tables = _row_tables(table, letters)
@@ -225,21 +259,28 @@ def _frontier_levels(
     frontier = np.array([id_key], dtype=np.int64)
     growth = [1]
     level = 0
-    # once a ball search has reached the whole group no level can add to it;
-    # table.order is 0 while enumerate_group is still filling the table
+    # once a ball search has reached the whole group no level can add to it
     while frontier.size and growth[-1] != table.order:
         level += 1
-        for start in range(0, frontier.size, block):
-            part = frontier[start : start + block]
-            digits = [part // q ** (n * r) % q ** n for r in range(n)]
-            images = None
-            for lam_tables in tables:
-                cand = lam_tables[0].take(digits[0], axis=0)
-                for r in range(1, n):
-                    cand += lam_tables[r].take(digits[r], axis=0)
-                images = cand if images is None else np.minimum(images, cand)
-            levels[images[levels.take(images) == _SENT]] = level
-        frontier = np.flatnonzero(levels == level)
+        if 0 < table.order - growth[-1] < frontier.size:
+            cand = table.keys[levels.take(table.keys) == _SENT]
+            start = 0
+            while cand.size and start < tables.shape[-1]:
+                stop = start + max(1, _GATHER_CELLS // cand.size)
+                images = _gather(tables[..., start:stop], cand, q, n)
+                hit = (levels.take(images) == level - 1).any(axis=1)
+                levels[cand[hit]] = level
+                cand, start = cand[~hit], stop
+        else:
+            for start in range(0, frontier.size, block):
+                images = _gather(tables, frontier[start : start + block], q, n)
+                levels[images[levels.take(images) == _SENT]] = level
+        # a ball search reads the new level off the group's keys, a tenth of
+        # the key space on SL(3,Z/6); enumeration has no keys yet
+        if table.order:
+            frontier = table.keys[levels.take(table.keys) == level]
+        else:
+            frontier = np.flatnonzero(levels == level)
         if frontier.size:
             growth.append(growth[-1] + int(frontier.size))
             if budget is not None and growth[-1] > budget:
@@ -587,10 +628,3 @@ def delta_exhaustive(
     simple = k != 1 and bool(classes) and all(c.normally_generates for c in classes)
     return replace(rpt, k=k or table.order, simple_shortcut=simple)
 
-
-def normal_generation(table: FiniteGroupTable) -> DeltaReport:
-    """Delta_{n0}, n0 the size of the smallest normally generating set of class units."""
-    for rpt in _delta_levels(table, class_balls(table)):
-        if rpt.attained:
-            break
-    return rpt

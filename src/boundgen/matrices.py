@@ -28,6 +28,7 @@ from functools import lru_cache
 
 from .errors import (
     BadIndex,
+    BadIndices,
     DeterminantNotOne,
     DimMismatch,
     NotApplicable,
@@ -330,10 +331,12 @@ def identity_with(n: int, ring: RingSpec, entries: dict[tuple[int, int], int]) -
     """The n x n identity with the given 1-based (i, j) -> x entries set.
 
     Only the set entries are normalised; the result is still shape- and
-    determinant-checked.
+    determinant-checked.  BadIndices for an i or j outside 1..n.
     """
     rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
     for (i, j), x in entries.items():
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise BadIndices(f"entry ({i},{j}) out of range for n={n}")
         rows[i - 1][j - 1] = ring.normalize(x)
     return _raw(n, ring, tuple(map(tuple, rows)))
 

@@ -18,7 +18,6 @@ from boundgen.ballsearch import (
     delta_exhaustive,
     enumerate_group,
     is_simple,
-    normal_generation,
     sl_order_mod,
 )
 from boundgen.cli import run
@@ -194,13 +193,16 @@ def test_delta_monotone(sl24):
 
 
 def test_normal_generation_number(sl24, s3):
-    assert normal_generation(sl24).k == 1
-    assert normal_generation(s3).k == 1
+    assert delta_exhaustive(sl24, 1).attained
+    assert delta_exhaustive(s3, 1).attained
     # no single class normally generates S3 x S3; two transpositions, one
     # per factor, do
     s3_gens = [elementary(1, 2, 1, 2, F2), elementary(2, 1, 1, 2, F2)]
-    rpt = normal_generation(product_table([s3_gens, s3_gens], F2))
-    assert (rpt.k, rpt.attained, rpt.value, len(rpt.witness)) == (2, True, 4, 2)
+    s3_squared = product_table([s3_gens, s3_gens], F2)
+    one = delta_exhaustive(s3_squared, 1)
+    assert not one.attained
+    rpt = delta_exhaustive(s3_squared, 2, one.classes)
+    assert (rpt.attained, rpt.value, len(rpt.witness)) == (True, 4, 2)
 
 
 @pytest.mark.parametrize(
@@ -218,6 +220,19 @@ def test_delta_sl2_residue_rings(l, k, value):
     rpt = delta_exhaustive(enumerate_group(RingSpec.residue(l), 2), k)
     assert time.perf_counter() - start < 5
     assert rpt.attained and rpt.value == value
+
+
+def test_large_unit_pulls_its_last_level():
+    # a 20,736-letter unit of SL(3,Z/6): after two push levels only 4,493
+    # elements are unvisited, against a frontier of 918,258, so the last
+    # level pulls; pushing it expands 918,258 x 20,736 images (over 2 minutes)
+    z6 = RingSpec.residue(6)
+    table = enumerate_group(z6, 3)
+    start = time.perf_counter()
+    rpt = ball_bfs(table, [MatrixSL(3, z6, ((0, 0, 1), (1, 0, 0), (0, 1, 5)))])
+    assert time.perf_counter() - start < 60
+    assert len(rpt.alphabet) == 20736
+    assert rpt.growth == [1, 20737, 938995, 943488]
 
 
 @pytest.mark.parametrize("k", [1, 2, None])

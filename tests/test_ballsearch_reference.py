@@ -15,6 +15,7 @@ from math import gcd
 
 import pytest
 
+from boundgen import ballsearch
 from boundgen.ballsearch import ball_bfs, conjugacy_classes, delta_exhaustive, enumerate_group
 from boundgen.matrices import MatrixSL
 from boundgen.rings import RingSpec
@@ -209,6 +210,14 @@ def test_balls_match_reference(group):
         growth, norms = ref.ball([m.entries for m in s])
         assert rpt.growth == growth
         assert rpt.norms.tolist() == norms
+
+
+def test_balls_match_reference_in_small_gathers(group, monkeypatch):
+    # a gather of at most 16 cells splits every push into blocks of frontier
+    # rows and every pull into slices of letters, as on large groups, where
+    # a pulled element is often first hit in a later slice
+    monkeypatch.setattr(ballsearch, "_GATHER_CELLS", 16)
+    test_balls_match_reference(group)
 
 
 def test_delta_matches_reference(group):

@@ -4,6 +4,7 @@ import pytest
 
 from boundgen.errors import (
     BadIndex,
+    BadIndices,
     DeterminantNotOne,
     DimMismatch,
     NotApplicable,
@@ -18,6 +19,7 @@ from boundgen.matrices import (
     elem,
     elementary,
     identity,
+    identity_with,
     is_scalar,
     reduce_ring,
     sigma,
@@ -285,6 +287,13 @@ def test_memo_keeps_rings_apart():
         assert len(keyed) == 2 and keyed[a] == first and keyed[b] == second
         assert a != b and a.inv() != b.inv() and a * a != b * b
 
+
+
+@pytest.mark.parametrize("i, j", [(0, 2), (4, 1), (2, 0)])
+def test_identity_with_rejects_out_of_range_entries(i, j):
+    # index 0 would wrap to row or column n, and 4 to an IndexError
+    with pytest.raises(BadIndices):
+        identity_with(3, RingSpec.integers(), {(i, j): 5})
 
 def test_raw_checks_determinant_under_optimize():
     from test_self_checks import run_optimized
