@@ -48,9 +48,8 @@ from .errors import BudgetExceeded, DimMismatch, MalformedInput, RingMismatch, S
 from .matrices import MatrixSL, _mul_entries, elementary, identity
 from .rings import RingSpec, factorize, is_unit
 from .witness import sl_order
-from .words import ConjWord, GenSet, Letter
+from .words import ConjWord, Letter
 
-DEFAULT_BUDGET = 2 ** 24
 DENSE_KEY_LIMIT = 2 ** 27
 _SENT = np.uint16(0xFFFF)
 _GATHER_CELLS = 2 ** 17  # frontier rows x letters per gather block
@@ -134,14 +133,15 @@ def enumerate_group(
     ring: RingSpec,
     n: int,
     psl: bool = False,
-    budget: int = DEFAULT_BUDGET,
     gens: list[MatrixSL] | None = None,
 ) -> FiniteGroupTable:
     """Orbit closure of the generators under right multiplication.
 
     Default generators are the E_{i,j}(+-1), which generate all of
     SL(n, Z/l); in that case the element count is checked against the
-    closed-form order, certifying completeness.
+    closed-form order, certifying completeness.  BudgetExceeded when the
+    key space q^(n^2) exceeds DENSE_KEY_LIMIT; every group within it has
+    at most |SL(4, F_3)| = 12,130,560 elements.
     """
     if ring.modulus is None:
         raise RingMismatch("enumeration needs a finite coefficient ring")
@@ -173,7 +173,7 @@ def enumerate_group(
     scalars = [lam for lam in range(1, q) if is_unit(lam, ring) and pow(lam, n, q) == 1]
     scalars = scalars if psl else [1]
     table = FiniteGroupTable(ring, n, psl, np.empty(0, dtype=np.int64), gens_t, scalars)
-    levels, _ = _frontier_levels(table, gens_t, budget)
+    levels, _ = _frontier_levels(table, gens_t)
     table.keys = np.flatnonzero(levels != _SENT)
     if full_group:
         expected = sl_order_mod(n, q)
@@ -221,13 +221,12 @@ def _gather(tables: np.ndarray, keys: np.ndarray, q: int, n: int) -> np.ndarray:
 
 
 def _frontier_levels(
-    table: FiniteGroupTable, letters: list[tuple] | np.ndarray, budget: int | None = None
+    table: FiniteGroupTable, letters: list[tuple] | np.ndarray
 ) -> tuple[np.ndarray, list[int]]:
     """Level-synchronous BFS from the identity by right multiplication.
 
     Returns the dense level array over the key space (_SENT where no word
     in the letters reaches) and the cumulative element count per level.
-    BudgetExceeded once more than `budget` elements have been reached.
 
     Row-table kernel: keys are row-major base q, so row r of a matrix is
     the base-q^n digit r of its key, and row r of M*a depends on row r of
@@ -283,8 +282,6 @@ def _frontier_levels(
             frontier = np.flatnonzero(levels == level)
         if frontier.size:
             growth.append(growth[-1] + int(frontier.size))
-            if budget is not None and growth[-1] > budget:
-                raise BudgetExceeded(f"group exceeds the element budget {budget}")
     return levels, growth
 
 
@@ -396,12 +393,11 @@ def _conjugation_walk(table: FiniteGroupTable, start_key: int, seen: np.ndarray)
     return np.concatenate(keys), np.concatenate(parent), np.concatenate(via)
 
 
-def ball_bfs(table: FiniteGroupTable, s) -> BallReport:
-    """Exact word norms for the generating set s (GenSet or list of MatrixSL)."""
-    mats = list(s.elements) if isinstance(s, GenSet) else list(s)
-    alphabet = class_closure(table, mats)
+def ball_bfs(table: FiniteGroupTable, s: list[MatrixSL]) -> BallReport:
+    """Exact word norms for the generating set s."""
+    alphabet = class_closure(table, s)
     dense, growth = _frontier_levels(table, [e.mat for e in alphabet])
-    return BallReport(table, mats, dense[table.keys], growth, alphabet, dense)
+    return BallReport(table, s, dense[table.keys], growth, alphabet, dense)
 
 
 def backtrack_word(report: BallReport, target: MatrixSL) -> ConjWord:
@@ -609,19 +605,16 @@ def _delta_levels(table: FiniteGroupTable, classes: list[ClassBall]):
         yield DeltaReport(size, best is not None, best, witness, False, checked, classes)
 
 
-def delta_exhaustive(
-    table: FiniteGroupTable, k: int | None = 1, classes: list[ClassBall] | None = None
-) -> DeltaReport:
+def delta_exhaustive(table: FiniteGroupTable, k: int | None = 1) -> DeltaReport:
     """Delta_k, the sup over sets of at most k class units.
 
     ||.||_S is the word norm over conj(S u S^{-1}), so it depends only on the
     class units S meets.  k=None ranges over all set sizes (the unqualified
-    supremum).  classes is class_balls(table) where the caller already holds
-    it (the classes of an earlier DeltaReport of the same table).
+    supremum).
     """
     if k is not None and k < 1:
         raise MalformedInput(f"Delta_k needs k >= 1, got {k}")
-    classes = class_balls(table) if classes is None else classes
+    classes = class_balls(table)
     for rpt in _delta_levels(table, classes):
         if rpt.k == k:
             break

@@ -23,37 +23,28 @@ from .rings import RingSpec
 from .words import GenSet, eval_word
 
 
-def random_elementary(rng: SplitMix64, n: int, ring: RingSpec, max_val: int = 4) -> MatrixSL:
-    i = rng.randint(1, n)
-    j = rng.randint(1, n - 1)
-    if j >= i:
-        j += 1
+def random_elementary(rng: SplitMix64, n: int, ring: RingSpec) -> MatrixSL:
+    """E_ij(v) at a random position; v in [-4, 4] - {0} over Z, a nonzero residue otherwise."""
+    i, j = _rand_pos(rng, n)
     if ring.modulus is None:
         v = 0
         while v == 0:
-            v = rng.randint(-max_val, max_val)
+            v = rng.randint(-4, 4)
     else:
         v = rng.randint(1, ring.modulus - 1)
     return elementary(i, j, v, n, ring)
 
 
-def random_sl(
-    rng: SplitMix64,
-    n: int,
-    ring: RingSpec,
-    factors: int = 4,
-    entry_cap: int | None = None,
-    max_val: int = 4,
-) -> MatrixSL:
-    """Product of random elementary matrices; rejection keeps entries small.
+def random_sl(rng: SplitMix64, n: int, ring: RingSpec, entry_cap: int | None) -> MatrixSL:
+    """Product of three random elementary matrices; rejection keeps entries small.
 
     Over Z an entry_cap bounds |entry|; draws are retried (deterministically,
     advancing the stream) until the cap holds.
     """
     while True:
         m = identity(n, ring)
-        for _ in range(factors):
-            m = m * random_elementary(rng, n, ring, max_val)
+        for _ in range(3):
+            m = m * random_elementary(rng, n, ring)
         if entry_cap is None or all(
             abs(v) <= entry_cap for row in m.entries for v in row
         ):
@@ -61,17 +52,18 @@ def random_sl(
 
 
 def run_double_commutator_suite(
-    ring: RingSpec, trials: int, seed: int, n: int = 3, entry_cap: int | None = 9
+    ring: RingSpec, trials: int, seed: int, entry_cap: int | None = 9
 ) -> dict:
-    """Closed form vs direct product on random admissible (A, i, j, k, l, x).
+    """Closed form vs direct product on random admissible (A, i, j, k, l, x) in SL(3).
 
     Admissible: a_{l,i} = 0 with i != l, j != i, k != l; draws lacking an
     admissible (i, l) pair are redrawn.
     """
     rng = SplitMix64(seed)
+    n = 3
     checked = 0
     while checked < trials:
-        a = random_sl(rng, n, ring, factors=3, entry_cap=entry_cap)
+        a = random_sl(rng, n, ring, entry_cap)
         pairs = [
             (i, l)
             for i in range(1, n + 1)
@@ -98,8 +90,8 @@ def run_double_commutator_suite(
     return {"suite": "double_commutator", "ring": str(ring), "trials": checked, "seed": seed}
 
 
-def run_steinberg_suite(trials: int, seed: int, dims=(3, 4, 5)) -> dict:
-    """Symbolic Steinberg relation vs exact commutator on random draws."""
+def run_steinberg_suite(trials: int, seed: int) -> dict:
+    """Symbolic Steinberg relation vs exact commutator on random draws, n in 3..5."""
     ring = RingSpec.integers()
     rng = SplitMix64(seed)
     from .matrices import steinberg_commutator
@@ -107,7 +99,7 @@ def run_steinberg_suite(trials: int, seed: int, dims=(3, 4, 5)) -> dict:
     applicable = 0
     fallback = 0
     for _ in range(trials):
-        n = dims[rng.randint(0, len(dims) - 1)]
+        n = rng.randint(3, 5)
         e1 = ElemSpec(*_rand_pos(rng, n), rng.randint(-9, 9))
         e2 = ElemSpec(*_rand_pos(rng, n), rng.randint(-9, 9))
         exact = commutator(elem(e1, n, ring), elem(e2, n, ring))
@@ -137,12 +129,12 @@ def _rand_pos(rng: SplitMix64, n: int) -> tuple[int, int]:
     return i, j
 
 
-def run_sigma_suite(trials: int, seed: int, dims=(3, 4, 5)) -> dict:
-    """sigma_{i,j} * sigma_{j,i} = I and the conjugation action on elementaries."""
+def run_sigma_suite(trials: int, seed: int) -> dict:
+    """sigma_{i,j} * sigma_{j,i} = I and the conjugation action on elementaries, n in 3..5."""
     ring = RingSpec.integers()
     rng = SplitMix64(seed)
     for _ in range(trials):
-        n = dims[rng.randint(0, len(dims) - 1)]
+        n = rng.randint(3, 5)
         i, j = _rand_pos(rng, n)
         s = sigma(i, j, n, ring)
         if s * sigma(j, i, n, ring) != identity(n, ring):

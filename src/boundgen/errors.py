@@ -104,7 +104,7 @@ class DegenerateGroup(BoundgenError):
 # --- ballsearch ---
 
 class BudgetExceeded(BoundgenError):
-    """Group enumeration would exceed the configured element budget."""
+    """Group enumeration would exceed the dense key-space limit."""
 
 
 # --- serialize ---

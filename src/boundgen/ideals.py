@@ -380,8 +380,8 @@ class Decision:
     generates=False comes with a common prime: every member of S is scalar
     modulo it, a congruence obstruction.  generates=True comes with a
     replayable word for E_{1,n}(1) in conjugates of S.  Either way the
-    verdict is relative to the subgroup normally generated by the elementary
-    matrices (assumed to be the whole group when the flag is set).
+    verdict is about all of SL(n, Z), which the elementary matrices generate
+    (factorize.factor_euclid builds the factorization).
     """
 
     generates: bool
@@ -389,18 +389,15 @@ class Decision:
     all_scalar: bool = False
     certificate: ConjWord | None = None
     certificate_length: int = 0
-    assume_el_generates: bool = True
 
 
-def decide_normal_generation(s: GenSet, assume_el_generates: bool = True) -> Decision:
+def decide_normal_generation(s: GenSet) -> Decision:
     """Decide whether S normally generates SL(n, Z) for n >= 3.
 
     NO: returns the smallest common prime of the supports, a congruence
     obstruction.  YES: assembles a word for E_{1,n}(1) by combining
     certified ideal generators through a Bezout identity; the word replays
-    exactly and has at most 4 * |S| * (n+1) letters.  The verdict describes
-    the normal closure relative to the elementary matrices; over Z they
-    normally generate the whole group, recorded by the assumption flag.
+    exactly and has at most 4 * |S| * (n+1) letters.
     """
     n = s.n
     ring = s.ring
@@ -412,9 +409,7 @@ def decide_normal_generation(s: GenSet, assume_el_generates: bool = True) -> Dec
     for a in s.elements:
         common = common.intersect(pi_support(a))
     if not common.is_empty():  # all scalar (is_all): every prime, and 2 is the smallest
-        return Decision(
-            False, common.smallest(), common.is_all, assume_el_generates=assume_el_generates
-        )
+        return Decision(False, common.smallest(), common.is_all)
 
     # pool[value] holds (direct, make) pairs, make(c) a word for E_{1,n}(c * value):
     # a direct pair repeats a conjugated generator letter |c| times, the others
@@ -472,12 +467,7 @@ def decide_normal_generation(s: GenSet, assume_el_generates: bool = True) -> Dec
     verify_word(word, s, elementary(1, n, 1, n, ring))
     if len(word) > 4 * len(s.elements) * (n + 1):
         raise SelfCheckFailed("certificate exceeds 4k(n+1)")
-    return Decision(
-        True,
-        certificate=word,
-        certificate_length=len(word),
-        assume_el_generates=assume_el_generates,
-    )
+    return Decision(True, certificate=word, certificate_length=len(word))
 
 
 def _bezout_chain(values: list[int], ring: RingSpec) -> list[int]:

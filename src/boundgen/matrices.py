@@ -168,9 +168,6 @@ class MatrixSL:
         """1-based column."""
         return tuple(self.entries[i][j - 1] for i in range(self.n))
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i - 1]
-
     def __str__(self):
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
 

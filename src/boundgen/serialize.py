@@ -92,21 +92,15 @@ def matrix_from_json(data: dict) -> MatrixSL:
 
 
 def genset_to_json(s: GenSet) -> dict:
-    out = {"gens": [matrix_to_json(m) for m in s.elements]}
-    if s.labels:
-        out["labels"] = list(s.labels)
-    return out
+    return {"gens": [matrix_to_json(m) for m in s.elements]}
 
 
 def genset_from_json(data: dict) -> GenSet:
-    gens = tuple(matrix_from_json(m) for m in _list(_field(data, "gens", "genset"), "gens"))
-    labels = tuple(_list(data["labels"], "labels")) if "labels" in data else None
-    return GenSet(gens, labels)
+    gens = _list(_field(data, "gens", "genset"), "gens")
+    return GenSet(tuple(matrix_from_json(m) for m in gens))
 
 
-def certificate_to_json(
-    word: ConjWord, s: GenSet, target: MatrixSL, length: int | None = None
-) -> dict:
+def certificate_to_json(word: ConjWord, s: GenSet, target: MatrixSL) -> dict:
     return {
         "gens": [matrix_to_json(m) for m in s.elements],
         "letters": [
@@ -114,7 +108,7 @@ def certificate_to_json(
         ],
         "claims": {
             "target": matrix_to_json(target),
-            "length": len(word) if length is None else length,
+            "length": len(word),
         },
     }
 

@@ -25,7 +25,6 @@ class GenSet:
     """An ordered generating set of matrices, all over one ring and dimension."""
 
     elements: tuple[MatrixSL, ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if not self.elements:
@@ -38,8 +37,6 @@ class GenSet:
                 raise DimMismatch("mixed dimensions in generating set")
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("duplicate matrices in generating set")
-        if self.labels is not None and len(self.labels) != len(self.elements):
-            raise ValueError("label count mismatch")
 
     @property
     def ring(self):
@@ -54,9 +51,6 @@ class GenSet:
 
     def __getitem__(self, k: int) -> MatrixSL:
         return self.elements[k]
-
-    def transpose(self) -> "GenSet":
-        return GenSet(tuple(m.transpose() for m in self.elements), self.labels)
 
 
 @dataclass(frozen=True)

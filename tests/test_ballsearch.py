@@ -67,9 +67,11 @@ def test_psl_enumeration():
     assert len(psl.scalars) == 2
 
 
-def test_budget():
-    with pytest.raises(BudgetExceeded):
-        enumerate_group(F2, 3, budget=100)
+def test_key_space_limit_refuses_before_enumerating():
+    # 9^9 keys exceed the 2^27 dense limit, the one size limit of enumeration
+    with pytest.raises(BudgetExceeded, match="dense index limit 134217728"):
+        enumerate_group(RingSpec.residue(9), 3)
+    assert run(["delta", "--ring", "Zmod:9", "--n", "3"]) == 1
 
 
 def test_associativity_sampled(s3):
@@ -201,7 +203,7 @@ def test_normal_generation_number(sl24, s3):
     s3_squared = product_table([s3_gens, s3_gens], F2)
     one = delta_exhaustive(s3_squared, 1)
     assert not one.attained
-    rpt = delta_exhaustive(s3_squared, 2, one.classes)
+    rpt = delta_exhaustive(s3_squared, 2)
     assert (rpt.attained, rpt.value, len(rpt.witness)) == (True, 4, 2)
 
 

@@ -91,6 +91,7 @@ def test_normgen_yes(tmp_path, capsys):
     assert run(["normgen", p, "--cert-out", cert_path]) == 0
     rep = out_json(capsys)
     assert rep["decision"] == "yes" and rep["length"] == 2
+    assert rep["assume_el_generates"] is True
     word, s, target, length = certificate_from_json(
         json.loads((tmp_path / "cert.json").read_text())
     )
@@ -239,13 +240,12 @@ def test_check_inequalities_verb(capsys):
     assert len(rep["checks"]) >= 10
 
 
-def test_budget_env_var(tmp_path, capsys, monkeypatch):
-    f2 = RingSpec.prime_field(2)
-    p = write(tmp_path, "g.json", genset_to_json(GenSet((elementary(1, 2, 1, 2, f2),))))
-    monkeypatch.setenv("BOUNDGEN_BUDGET", "3")
-    assert run(["ball", "--ring", "Fp:2", "--n", "2", "--gens", p]) == 1
-    monkeypatch.delenv("BOUNDGEN_BUDGET")
-    assert run(["ball", "--ring", "Fp:2", "--n", "2", "--gens", p]) == 0
+@pytest.mark.parametrize("where", ["input", "out"])
+def test_directory_path_is_an_input_error(tmp_path, capsys, where):
+    p = write(tmp_path, "m.json", matrix_to_json(elementary(1, 2, 5, 3, Z)))
+    argv = ["pia", str(tmp_path)] if where == "input" else ["pia", p, "--out", str(tmp_path)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_factor_ring_flag_mismatch(tmp_path, capsys):

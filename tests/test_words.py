@@ -83,7 +83,8 @@ def test_transpose_word():
     gens, rng = small_genset(seed=61)
     w = random_word(rng, gens, 4)
     wt = transpose_word(w)
-    assert eval_word(wt, gens.transpose()) == eval_word(w, gens).transpose()
+    gens_t = GenSet(tuple(m.transpose() for m in gens.elements))
+    assert eval_word(wt, gens_t) == eval_word(w, gens).transpose()
     assert len(wt) == len(w)
 
 
