@@ -29,7 +29,7 @@ from .ideals import (
     pi_support,
     scalar_obstruction_ideal,
 )
-from .matrices import ElemSpec, MatrixSL, elem, elementary, identity, sigma
+from .matrices import ElemSpec, MatrixSL, elementary, identity, sigma
 from .rings import IdealGen, RingSpec
 from .witness import LowerBoundWitness, build_lower_witness, class_size_lower, delta_upper
 from .words import ConjWord, GenSet, eval_word, verify_word
@@ -59,7 +59,6 @@ __all__ = [
     "delta_exhaustive",
     "delta_upper",
     "double_commutator",
-    "elem",
     "elementary",
     "enumerate_group",
     "eval_word",

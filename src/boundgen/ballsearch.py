@@ -314,7 +314,7 @@ class BallReport:
     norms: np.ndarray
     growth: list[int]
     alphabet: list[AlphabetEntry]
-    _dense: np.ndarray = field(repr=False, default=None)
+    _dense: np.ndarray = field(repr=False)
 
     @property
     def reached(self) -> int:

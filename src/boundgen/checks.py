@@ -13,10 +13,10 @@ from .matrices import (
     ElemSpec,
     MatrixSL,
     commutator,
-    elem,
     elementary,
     identity,
     sigma,
+    steinberg_commutator,
 )
 from .rand import SplitMix64
 from .rings import RingSpec
@@ -94,21 +94,21 @@ def run_steinberg_suite(trials: int, seed: int) -> dict:
     """Symbolic Steinberg relation vs exact commutator on random draws, n in 3..5."""
     ring = RingSpec.integers()
     rng = SplitMix64(seed)
-    from .matrices import steinberg_commutator
-
     applicable = 0
     fallback = 0
     for _ in range(trials):
         n = rng.randint(3, 5)
         e1 = ElemSpec(*_rand_pos(rng, n), rng.randint(-9, 9))
         e2 = ElemSpec(*_rand_pos(rng, n), rng.randint(-9, 9))
-        exact = commutator(elem(e1, n, ring), elem(e2, n, ring))
+        exact = commutator(*(elementary(e.i, e.j, e.x, n, ring) for e in (e1, e2)))
         try:
             sym = steinberg_commutator(e1, e2, ring)
         except NotApplicable:
             fallback += 1
             continue
-        expected = identity(n, ring) if sym is None else elem(sym, n, ring)
+        expected = (
+            identity(n, ring) if sym is None else elementary(sym.i, sym.j, sym.x, n, ring)
+        )
         if expected != exact:
             raise SelfCheckFailed(f"Steinberg mismatch at {e1}, {e2}")
         applicable += 1

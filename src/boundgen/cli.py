@@ -20,7 +20,7 @@ import sys
 from . import __version__
 from .ballsearch import ball_bfs, delta_exhaustive, enumerate_group
 from .checks import run_identity_suites
-from .errors import BoundgenError, SelfCheckFailed, VerificationFailed
+from .errors import BoundgenError, MalformedInput, SelfCheckFailed, VerificationFailed
 from .factorize import factor_euclid, factor_semilocal
 from .hessenberg import to_hessenberg
 from .ideals import decide_normal_generation, pi_support
@@ -40,7 +40,10 @@ from .witness import build_lower_witness, class_size_lower, delta_upper
 
 def _load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise MalformedInput(f"{path}: JSON nested too deeply") from None
 
 
 def _emit(report: dict, args) -> None:
@@ -206,14 +209,7 @@ def cmd_witness_lower(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    params = {}
-    if args.c_n is not None:
-        params["c_n"] = args.c_n
-    if args.d is not None:
-        params["d"] = args.d
-    if args.l is not None:
-        params["l"] = args.l
-    res = delta_upper(args.n, args.k, args.regime, **params)
+    res = delta_upper(args.n, args.k, args.regime, c_n=args.c_n, d=args.d, l=args.l)
     _emit(
         _header(args, n=args.n, k=args.k, regime=res.regime, value=res.value,
                 formula=res.formula),
@@ -377,7 +373,7 @@ def run(argv=None) -> int:
     except SelfCheckFailed as exc:
         print(f"self-check failed: {exc}", file=sys.stderr)
         return 2
-    except (BoundgenError, OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (BoundgenError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

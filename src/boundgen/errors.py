@@ -51,14 +51,10 @@ class NotApplicable(BoundgenError):
 
 # --- words ---
 
-class IndexOutOfRange(BoundgenError):
-    """Word letter references a generator index outside the generating set."""
-
-
 class VerificationFailed(BoundgenError):
     """A certificate does not replay to its claimed target."""
 
-    def __init__(self, message, step=None):
+    def __init__(self, message, step):
         super().__init__(message)
         self.step = step
 

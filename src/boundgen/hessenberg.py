@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 from .errors import BadIndex, NotHessenberg, SelfCheckFailed
 from .matrices import MatrixSL, embed_block, identity
-from .rings import RingSpec, associate_unit, gcd_many, inv_unit
-from .rings import _int_xgcd  # integer Bezout chain on lifts
+from .rings import RingSpec, associate_unit, gcd_many, inv_unit, xgcd
 
 
 def gcd_reduce_row(a, ring: RingSpec) -> tuple[int, MatrixSL]:
@@ -29,7 +28,7 @@ def gcd_reduce_row(a, ring: RingSpec) -> tuple[int, MatrixSL]:
     n = len(a)
     if n < 2:
         raise BadIndex("gcd_reduce_row needs a vector of length >= 2")
-    lifts = [ring.lift(x) for x in a]
+    lifts = [ring.normalize(x) for x in a]
     cols = [[1 if r == c else 0 for r in range(n)] for c in range(n)]  # columns of A
     g = lifts[0]
     for pos in range(1, n):
@@ -41,9 +40,7 @@ def gcd_reduce_row(a, ring: RingSpec) -> tuple[int, MatrixSL]:
                 cols[pos] = [-x for x in cols[pos]]
                 g = -g
             continue
-        gg, s, t = _int_xgcd(g, b)
-        if gg < 0:
-            gg, s, t = -gg, -s, -t
+        gg, s, t = xgcd(g, b, RingSpec.integers())
         u, v = g // gg, b // gg
         c0, cp = cols[0], cols[pos]
         cols[0] = [c0[r] * s + cp[r] * t for r in range(n)]

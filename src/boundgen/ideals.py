@@ -40,7 +40,6 @@ from .matrices import (
     sigma,
 )
 from .rings import (
-    ALL_PRIMES,
     IdealGen,
     RingSpec,
     divide_exact,
@@ -359,7 +358,7 @@ def pi_support(a: MatrixSL) -> PrimeSupport:
     if ring.is_integers and is_scalar(a):
         return PrimeSupport.all_primes()
     support = prime_support_of(g, ring)
-    if support is ALL_PRIMES:
+    if support is None:
         raise SelfCheckFailed("non-scalar matrix has every prime in its support")
     for p in support:
         target = RingSpec.prime_field(p)

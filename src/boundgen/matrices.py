@@ -352,17 +352,11 @@ def identity(n: int, ring: RingSpec) -> MatrixSL:
     return identity_with(n, ring, {})
 
 
-def elem(spec: ElemSpec, n: int, ring: RingSpec) -> MatrixSL:
-    """The elementary matrix for spec."""
-    i, j, x = spec.i, spec.j, spec.x
+def elementary(i: int, j: int, x: int, n: int, ring: RingSpec) -> MatrixSL:
+    """E_{i,j}(x); BadIndex unless i != j both lie in 1..n."""
     if not (1 <= i <= n and 1 <= j <= n) or i == j:
         raise BadIndex(f"elementary index ({i},{j}) invalid for n={n}")
     return identity_with(n, ring, {(i, j): x})
-
-
-def elementary(i: int, j: int, x: int, n: int, ring: RingSpec) -> MatrixSL:
-    """Shorthand for elem(ElemSpec(i, j, x), n, ring)."""
-    return elem(ElemSpec(i, j, x), n, ring)
 
 
 def sigma(i: int, j: int, n: int, ring: RingSpec) -> MatrixSL:

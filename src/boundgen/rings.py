@@ -45,7 +45,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test, exact for n < 3.3e24."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -147,23 +147,6 @@ KIND_ZMOD = "Zmod"
 KIND_FP = "Fp"
 
 
-class AllPrimes:
-    """Distinguished prime support of 0 over Z: every maximal ideal."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "AllPrimes"
-
-
-ALL_PRIMES = AllPrimes()
-
-
 @dataclass(frozen=True)
 class RingSpec:
     """One of Z, Z/l (l >= 2) or a prime field F_p.
@@ -174,8 +157,8 @@ class RingSpec:
     """
 
     kind: str
-    modulus: int | None = None
-    maximal_ideals: tuple[int, ...] | None = None
+    modulus: int | None
+    maximal_ideals: tuple[int, ...] | None
 
     @staticmethod
     @cache
@@ -225,10 +208,6 @@ class RingSpec:
     def neg(self, a: int) -> int:
         return self.normalize(-a)
 
-    def lift(self, a: int) -> int:
-        """Canonical integer representative."""
-        return self.normalize(a)
-
     def __str__(self):
         if self.kind == KIND_Z:
             return "Z"
@@ -269,7 +248,7 @@ def gcd_many(xs: Iterable[int], ring: RingSpec) -> int:
         return g
     g = ring.modulus
     for x in xs:
-        g = math.gcd(g, ring.lift(x))
+        g = math.gcd(g, ring.normalize(x))
     return g % ring.modulus
 
 
@@ -281,7 +260,7 @@ def xgcd(a: int, b: int, ring: RingSpec) -> tuple[int, int, int]:
             g, s, t = -g, -s, -t
         return g, s, t
     l = ring.modulus
-    a, b = ring.lift(a), ring.lift(b)
+    a, b = ring.normalize(a), ring.normalize(b)
     g2, u, v = _int_xgcd(a, b)
     g3, w, _ = _int_xgcd(g2, l)
     if g3 < 0:
@@ -294,7 +273,7 @@ def xgcd(a: int, b: int, ring: RingSpec) -> tuple[int, int, int]:
 def is_unit(a: int, ring: RingSpec) -> bool:
     if ring.modulus is None:
         return a in (1, -1)
-    return math.gcd(ring.lift(a), ring.modulus) == 1
+    return math.gcd(ring.normalize(a), ring.modulus) == 1
 
 
 def inv_unit(a: int, ring: RingSpec) -> int:
@@ -303,7 +282,7 @@ def inv_unit(a: int, ring: RingSpec) -> int:
         if a in (1, -1):
             return a
         raise NotCoprime(f"{a} is not a unit over Z")
-    g, s, _ = _int_xgcd(ring.lift(a), ring.modulus)
+    g, s, _ = _int_xgcd(ring.normalize(a), ring.modulus)
     if abs(g) != 1:
         raise NotCoprime(f"{a} is not a unit in {ring}")
     return (s * g) % ring.modulus
@@ -320,7 +299,7 @@ def unit_shift(a: int, b: int, ring: RingSpec) -> int:
         raise UnsupportedRing("unit_shift needs finitely many maximal ideals")
     if not is_unit(gcd_many([a, b], ring), ring):
         raise NotCoprime(f"gcd({a},{b}) is not a unit in {ring}")
-    lift_a = ring.lift(a)
+    lift_a = ring.normalize(a)
     x = 1
     for p in ring.maximal_ideals:
         if lift_a % p != 0:
@@ -331,17 +310,17 @@ def unit_shift(a: int, b: int, ring: RingSpec) -> int:
     return x
 
 
-def prime_support_of(x: int, ring: RingSpec):
+def prime_support_of(x: int, ring: RingSpec) -> set[int] | None:
     """Set of maximal ideals (as integer primes) containing x.
 
-    Over Z, x = 0 returns ALL_PRIMES; otherwise |x| is factored completely
+    Over Z, x = 0 returns None (every prime); otherwise |x| is factored completely
     (FactorizationTooLarge if the budget is exceeded).
     """
     if ring.modulus is None:
         if x == 0:
-            return ALL_PRIMES
+            return None
         return set(factorize(abs(x)))
-    lift = ring.lift(x)
+    lift = ring.normalize(x)
     return {p for p in ring.maximal_ideals if lift % p == 0}
 
 
@@ -356,7 +335,7 @@ def divide_exact(dividend: int, divisor: int, ring: RingSpec) -> int:
             raise ExactDivisionError(f"{divisor} does not divide {dividend}")
         return dividend // divisor
     l = ring.modulus
-    a, b = ring.lift(dividend), ring.lift(divisor)
+    a, b = ring.normalize(dividend), ring.normalize(divisor)
     d = math.gcd(b, l)
     if a % d != 0:
         raise ExactDivisionError(f"({a}) is not contained in ({b}) mod {l}")
@@ -377,7 +356,7 @@ def associate_unit(value: int, target: int, ring: RingSpec) -> int:
             return -1
         raise ExactDivisionError(f"{value} and {target} are not associates over Z")
     l = ring.modulus
-    v, t = ring.lift(value), ring.lift(target)
+    v, t = ring.normalize(value), ring.normalize(target)
     d = math.gcd(v, l)
     if d != math.gcd(t, l):
         raise ExactDivisionError(f"{v} and {t} generate different ideals mod {l}")
@@ -421,7 +400,7 @@ class IdealGen:
                 return x == 0
             return x % self.generator == 0
         d = self.generator if self.generator != 0 else ring.modulus
-        return ring.lift(x) % d == 0
+        return ring.normalize(x) % d == 0
 
     def __add__(self, other: "IdealGen") -> "IdealGen":
         if other.ring != self.ring:

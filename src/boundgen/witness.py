@@ -23,7 +23,7 @@ from .errors import (
 )
 from .ideals import PrimeSupport, pi_support
 from .matrices import elementary, identity
-from .rings import RingSpec, inv_unit, is_prime
+from .rings import RingSpec, factorize, inv_unit, is_prime
 from .words import ConjWord, GenSet, concat, power_word, verify_word
 
 
@@ -162,8 +162,6 @@ def delta_upper(n: int, k: int, regime: str, **params) -> BoundResult:
         return BoundResult((4 * n + 51) * (4 * n + 4) * k, "(4n+51)(4n+4)k", regime)
     if regime == "residue":
         l = params["l"]
-        from .rings import factorize
-
         omega = len(factorize(l))
         return BoundResult(
             12 * omega * (n - 1), f"12*k*(n-1) with k={omega} prime factors of {l}", regime
@@ -189,7 +187,20 @@ class ClassSizeBound:
     slack: int
 
     def holds_for(self, class_size: int) -> bool:
-        return (class_size << self.slack) ** self.delta > self.order
+        """MalformedInput for a class size below 1.
+
+        The power stops growing once it exceeds |G|; its base is at least 2,
+        so that takes at most about log2|G| factors whatever delta is.
+        """
+        if class_size < 1:
+            raise MalformedInput(f"class size must be >= 1, got {class_size}")
+        base = class_size << self.slack
+        power = 1
+        for _ in range(self.delta):
+            power *= base
+            if power > self.order:
+                return True
+        return False
 
     @property
     def log2_threshold(self) -> float:

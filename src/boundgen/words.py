@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DimMismatch, IndexOutOfRange, RingMismatch, VerificationFailed
+from .errors import DimMismatch, RingMismatch, VerificationFailed
 from .matrices import MatrixSL, identity
 
 
@@ -80,37 +80,27 @@ class ConjWord:
         return ConjWord((Letter(gen, exp, conj),))
 
 
-def _replay(w: ConjWord, s: GenSet, reject) -> MatrixSL:
+def _replay(w: ConjWord, s: GenSet) -> MatrixSL:
     """Exact product of the letters; the empty word evaluates to the identity.
 
-    The first invalid letter raises reject(step, letter, bad_index), where
-    bad_index tells a generator index out of range from a conjugator over
-    the wrong ring or dimension.
+    The first invalid letter raises VerificationFailed with its step: a
+    generator index out of range, or a conjugator over another ring or
+    dimension.
     """
     out = identity(s.n, s.ring)
     for step, letter in enumerate(w.letters):
-        bad_index = not 0 <= letter.gen < len(s)
-        if bad_index or letter.conj.ring != s.ring or letter.conj.n != s.n:
-            raise reject(step, letter, bad_index)
+        if not 0 <= letter.gen < len(s):
+            raise VerificationFailed(f"letter {step}: bad generator index", step=step)
+        if letter.conj.ring != s.ring or letter.conj.n != s.n:
+            raise VerificationFailed(f"letter {step}: conjugator mismatch", step=step)
         g = s[letter.gen] if letter.exp == 1 else s[letter.gen].inv()
         out = out * (letter.conj * g * letter.conj.inv())
     return out
 
 
-def _eval_error(step: int, letter: Letter, bad_index: bool) -> Exception:
-    if bad_index:
-        return IndexOutOfRange(f"generator index {letter.gen} out of range")
-    return RingMismatch("conjugator ring/dimension mismatch")
-
-
-def _verify_error(step: int, letter: Letter, bad_index: bool) -> Exception:
-    what = "bad generator index" if bad_index else "conjugator mismatch"
-    return VerificationFailed(f"letter {step}: {what}", step=step)
-
-
 def eval_word(w: ConjWord, s: GenSet) -> MatrixSL:
     """Exact product of the letters; the empty word evaluates to the identity."""
-    return _replay(w, s, _eval_error)
+    return _replay(w, s)
 
 
 def invert(w: ConjWord) -> ConjWord:
@@ -169,5 +159,5 @@ def verify_word(
         raise VerificationFailed(
             f"claimed length {length} != actual {len(w)}", step=len(w)
         )
-    if _replay(w, s, _verify_error) != target:
+    if _replay(w, s) != target:
         raise VerificationFailed("word does not evaluate to the target", step=len(w))

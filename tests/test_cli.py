@@ -199,17 +199,31 @@ def test_class_bound_verb(capsys):
     assert rep["generic_holds"] is True
 
 
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert run(["pia", str(deep)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_usage_errors(tmp_path, capsys):
     assert run(["pia", str(tmp_path / "missing.json")]) == 1
     assert run(["bound", "--regime", "bogus", "--n", "3"]) == 1
+    capsys.readouterr()
     for argv in (
         ["delta", "--ring", "Fp:2", "--n", "2", "--k", "0"],
         ["delta", "--ring", "Fp:2", "--n", "2", "--k", "-3"],
         ["check-identities", "--trials", "0"],
         ["check-identities", "--trials", "-1"],
+        ["class-bound", "--order", "168", "--delta", "2", "--class-size", "0"],
+        ["class-bound", "--order", "168", "--delta", "2", "--class-size", "-1"],
     ):
         assert run(argv) == 1
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
 
 def test_deterministic_reports(tmp_path, capsys):

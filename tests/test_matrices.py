@@ -16,7 +16,6 @@ from boundgen.matrices import (
     MatrixSL,
     as_elementary,
     commutator,
-    elem,
     elementary,
     identity,
     identity_with,
@@ -43,14 +42,14 @@ def rand_sl(rng, n, ring, k=5):
 
 
 def test_elem_basic(z, z6):
-    e = elem(ElemSpec(1, 3, 5), 3, z)
+    e = elementary(1, 3, 5, 3, z)
     assert e[1, 3] == 5 and e[1, 1] == 1
-    assert elem(ElemSpec(1, 2, 0), 3, z).is_identity()
-    assert elem(ElemSpec(2, 1, -1), 2, z6)[2, 1] == 5
+    assert elementary(1, 2, 0, 3, z).is_identity()
+    assert elementary(2, 1, -1, 2, z6)[2, 1] == 5
     with pytest.raises(BadIndex):
-        elem(ElemSpec(1, 1, 3), 3, z)
+        elementary(1, 1, 3, 3, z)
     with pytest.raises(BadIndex):
-        elem(ElemSpec(0, 2, 3), 3, z)
+        elementary(0, 2, 3, 3, z)
 
 
 def test_det_check_rejects(z):
@@ -117,13 +116,13 @@ def test_steinberg_matches_exact(z):
             continue
         x, y = rng.randint(-9, 9), rng.randint(-9, 9)
         e1, e2 = ElemSpec(i, j, x), ElemSpec(k, l, y)
-        exact = commutator(elem(e1, n, z), elem(e2, n, z))
+        exact = commutator(elementary(i, j, x, n, z), elementary(k, l, y, n, z))
         try:
             sym = steinberg_commutator(e1, e2, z)
         except NotApplicable:
             checked += 1
             continue
-        expected = identity(n, z) if sym is None else elem(sym, n, z)
+        expected = identity(n, z) if sym is None else elementary(sym.i, sym.j, sym.x, n, z)
         assert expected == exact
         checked += 1
 

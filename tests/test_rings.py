@@ -9,7 +9,6 @@ from boundgen.errors import (
 )
 from boundgen.rand import SplitMix64
 from boundgen.rings import (
-    ALL_PRIMES,
     IdealGen,
     RingSpec,
     associate_unit,
@@ -123,7 +122,7 @@ def test_unit_shift_errors(z, z12):
 
 def test_prime_support(z, z6):
     assert prime_support_of(6, z) == {2, 3}
-    assert prime_support_of(0, z) is ALL_PRIMES
+    assert prime_support_of(0, z) is None
     assert prime_support_of(9, z6) == {3}
     assert prime_support_of(1, z) == set()
     assert prime_support_of(-12, z) == {2, 3}

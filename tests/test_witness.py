@@ -102,6 +102,23 @@ def test_class_size_thresholds():
         class_size_lower(168, 1)
 
 
+def test_class_size_holds_for_matches_exact_power():
+    for order in (4, 5, 60, 168, 1000, 5616):
+        for delta in range(2, 9):
+            for bound in class_size_lower(order, delta):
+                for s in range(1, 40):
+                    assert bound.holds_for(s) == ((s << bound.slack) ** delta > order)
+
+
+def test_class_size_holds_for_huge_delta_and_bad_sizes():
+    generic, symmetric = class_size_lower(168, 10 ** 9)
+    # the exact power would have about 10^9 bits; the loop stops after a few factors
+    assert generic.holds_for(3) and symmetric.holds_for(1)
+    for size in (0, -1, -100):
+        with pytest.raises(MalformedInput, match="class size must be >= 1"):
+            generic.holds_for(size)
+
+
 def test_orders():
     assert sl_order(2, 2) == 6
     assert sl_order(2, 3) == 24

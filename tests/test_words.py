@@ -100,6 +100,24 @@ def test_verify_word_reports_step():
         verify_word(w, gens, target, length=5)
 
 
+@pytest.mark.parametrize(
+    "step, letter, reason",
+    [
+        (1, Letter(2, 1, identity(3, Z)), "bad generator index"),
+        (0, Letter(-1, 1, identity(3, Z)), "bad generator index"),
+        (2, Letter(0, -1, elementary(1, 2, 1, 3, RingSpec.residue(6))), "conjugator mismatch"),
+        (1, Letter(1, 1, identity(4, Z)), "conjugator mismatch"),
+    ],
+)
+def test_eval_word_rejects_bad_letter(step, letter, reason):
+    gens, rng = small_genset(seed=71)
+    letters = list(random_word(rng, gens, 3).letters)
+    letters[step] = letter
+    with pytest.raises(VerificationFailed, match=f"^letter {step}: {reason}$") as err:
+        eval_word(ConjWord(tuple(letters)), gens)
+    assert err.value.step == step
+
+
 def test_genset_validation():
     with pytest.raises(ValueError):
         GenSet(())
