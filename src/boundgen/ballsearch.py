@@ -2,45 +2,47 @@
 matrix groups over Z/l or F_p.
 
 Group elements are packed into positional integer keys (entry[idx] * q^idx,
-row-major; FiniteGroupTable owns the format), which index a dense uint16
-level array.  One level-synchronous frontier routine serves both group
-enumeration (letters: the generators and their inverses) and ball search
-(letters: the class alphabet).  Its kernel relies on the key being
-row-major base q: each row of a matrix is then one base-q^n digit of its
-key, and right multiplication by a letter maps each row on its own.  So
-per BFS call one table per (scalar, letter, row) maps a row digit to that
-row's share of the image key, and the key of an image, scalar
+row-major; FiniteGroupTable owns the format).  Every search here relies on
+the key being row-major base q: each row of a matrix is then one base-q^n
+digit of its key, and right multiplication by a letter maps each row on its
+own.  So per search one table per (scalar, letter, row) maps a row digit to
+that row's share of the image key, and the key of an image, scalar
 canonicalization included, is a minimum over scalars of n table lookups.
-New elements are marked straight in the level array.
 
-A level is a push or a pull (direction-optimizing BFS).  A push maps
-every frontier element by every letter.  Once fewer elements are
-unvisited than the frontier holds, a pull tests each unvisited element M
-instead and stops at its first letter a with M*a on the previous level.
-That is exact because every ball alphabet is closed under inverses, and a
-search that does not normally generate never pulls: it leaves at least
-|G - N| >= |N| elements unvisited.  The BFS is level synchronous, so
-levels never depend on visit order or direction;
-tests/test_ballsearch_reference.py checks keys, growth, norms and classes
-against a slow pure-Python BFS on small groups.
+One level-synchronous frontier routine, over a dense uint16 level array,
+serves group enumeration (letters: the generators and their inverses) and
+the ball of a set S (letters: its class alphabet).  A level is a push or a
+pull (direction-optimizing BFS).  A push maps every frontier element by
+every letter.  Once fewer elements are unvisited than the frontier holds, a
+pull tests each unvisited element M instead and stops at its first letter
+a with M*a on the previous level, which is exact because every ball
+alphabet is closed under inverses.  Levels never depend on visit order or
+direction; tests/test_ballsearch_reference.py checks keys, growth, norms,
+classes and class searches against a slow pure-Python BFS on small groups.
 
-The edge alphabet of a ball search is the full conjugacy-class closure of
-S and its inverses.  It comes from the same conjugation walk under the
-group's own generators that partitions the group into classes, so word
-norms match the definition over conjugates exactly.  The walk is level
-synchronous too: one batched numpy product conjugates a whole frontier by
-every generator, and fresh keys are marked in a bool array.
+The edge alphabet of a ball is the full conjugacy-class closure of S and
+its inverses.  It comes from the same conjugation walk under the group's own
+generators that partitions the group into classes, one batched numpy
+product per walk level, so word norms match the definition exactly.
 
 Delta_k ranges over sets of class units (a nontrivial class with the class
-of its inverses); a set's alphabet is its units' union.  A unit set
-normally generates iff no maximal normal subgroup contains it, so only the
-minimal hitting sets of the maximal subgroups' complements are searched.
-The maximal subgroups come from joins of the single-class closures.
+of its inverses).  A set's norm is a class function, so its search runs on
+classes: if g in C is on level L, g*a in C' and rep(C) = h*g*h^-1, then
+rep(C)*(h*a*h^-1) lies in C' and h*a*h^-1 is a letter.  So level L+1 is the
+unvisited classes that the reps of level L reach in one letter, read
+through one class index over the key space.  On SL(3,Z/6) (943,488
+elements, 72 classes) Delta_1 = 3 and Delta_2 = 6 take about 6 s on one
+Intel Xeon core.  A unit set normally generates iff no maximal normal
+subgroup contains it, so only the minimal hitting sets of the maximal
+subgroups' complements are searched; the maximal subgroups come from
+joins of the single-class closures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial, reduce
+from operator import or_
 
 import numpy as np
 
@@ -242,9 +244,9 @@ def _frontier_levels(
     letter a, and candidates are tested against a slice of
     _GATHER_CELLS // candidates letters at a time, a hit leaving the
     candidates.  This needs the alphabet closed under inverses (M = P*a^-1),
-    which every ball alphabet is: class_closure takes S and S^-1, and a
-    unit is a class with its inverse class.  Both directions fill the same
-    level, so the levels do not depend on which one ran.  A search that
+    which every ball alphabet is: class_closure takes S and S^-1.  Both
+    directions fill the same level, so the levels do not depend on which
+    one ran.  A search that
     does not normally generate never pulls: its unvisited count is at least
     |G - N| >= |N|, more than any frontier.  Neither does enumerate_group,
     whose table.order is 0 while the table is filled.
@@ -463,56 +465,57 @@ def conjugacy_classes(table: FiniteGroupTable) -> list[ConjClass]:
 class ClassBall:
     """The ball search from the representative of one nontrivial class.
 
-    reaches is the class's normal closure as a bitmask over the distinct
-    units in class order.
+    reaches is the class's normal closure as a bitmask over class positions.
     """
 
     cls: ConjClass
     rep: MatrixSL
-    unit: tuple[int, ...]  # sorted keys of the class and of the class of rep^{-1}
+    unit: tuple[int, ...]  # positions of the class and of the class of rep^{-1}
     normally_generates: bool
     diameter: int | None
     reaches: int
 
 
-def _unit_search(table: FiniteGroupTable, units, firsts: np.ndarray) -> tuple[int | None, int]:
-    """The BFS over the keys of units: its diameter, None if they do not
-    normally generate, and the bitmask of the units it reaches (a normal
-    subgroup is a union of units, so each is read at its key in firsts)."""
-    keys = np.array([key for unit in units for key in unit], dtype=np.int64)
-    levels, growth = _frontier_levels(table, table.decode(keys))
-    reached = np.flatnonzero(levels[firsts] != _SENT).tolist()
-    return (len(growth) - 1 if growth[-1] == table.order else None), sum(1 << i for i in reached)
+def _class_search(table: FiniteGroupTable, classes, index: np.ndarray, units):
+    """The class search over the letters of units: its diameter, None if they
+    do not normally generate, and the bitmask of the classes it reaches."""
+    keys = np.array([key for unit in units for i in unit for key in classes[i].keys])
+    tables = _row_tables(table, table.decode(keys))
+    reps = np.array([c.rep_key for c in classes], dtype=np.int64)
+    frontier, levels = index[[table.identity_key]], 0
+    visited = np.arange(len(classes)) == frontier[0]
+    while frontier.size and not visited.all():
+        reached = np.unique(index[_gather(tables, reps[frontier], table.ring.modulus, table.n)])
+        frontier = reached[~visited[reached]]
+        visited[frontier] = True
+        levels += 1
+    return (levels if visited.all() else None), sum(1 << int(i) for i in np.flatnonzero(visited))
 
 
-def class_balls(table: FiniteGroupTable) -> list[ClassBall]:
-    """The ball search of [rep] for each nontrivial class rep, in class order.
-
-    Its alphabet conj(rep^{+-1}), the class of rep with that of rep^{-1}, is
-    read off the partition; a class and its inverse class share one search.
+def class_balls(table: FiniteGroupTable) -> tuple[list[ClassBall], partial]:
+    """The ball search of [rep] for each nontrivial class rep, in class order,
+    and the class search over any list of units.  The class index maps each
+    key to its class position; a class and its inverse class share one unit.
     """
-    id_key = table.identity_key
     classes = conjugacy_classes(table)
-    class_of = {key: cls for cls in classes for key in cls.keys}
-    found = [
-        (c, table.matrix_at(table.index_of_key(c.rep_key))) for c in classes if c.rep_key != id_key
-    ]
-    units = [
-        tuple(sorted(set(c.keys).union(class_of[table.key_of(rep.inv().entries)].keys)))
-        for c, rep in found
-    ]
-    distinct = list(dict.fromkeys(units))
-    firsts = np.array([unit[0] for unit in distinct], dtype=np.int64)
-    searches = {unit: _unit_search(table, [unit], firsts) for unit in distinct}
-    return [
-        ClassBall(c, rep, unit, searches[unit][0] is not None, *searches[unit])
-        for (c, rep), unit in zip(found, units)
-    ]
+    index = np.zeros(table.key_space, dtype=np.min_scalar_type(len(classes)))
+    for i, c in enumerate(classes):
+        index[c.keys] = i
+    search = partial(_class_search, table, classes, index)
+    id_key, balls, searches = table.identity_key, [], {}
+    for i, c in enumerate(classes):
+        if c.rep_key != id_key:
+            rep = table.matrix_at(table.index_of_key(c.rep_key))
+            unit = tuple(sorted({i, int(index[table.key_of(rep.inv().entries)])}))
+            if unit not in searches:
+                searches[unit] = search([unit])
+            balls.append(ClassBall(c, rep, unit, searches[unit][0] is not None, *searches[unit]))
+    return balls, search
 
 
 def is_simple(table: FiniteGroupTable) -> bool:
     """True iff every nontrivial element normally generates the group."""
-    return table.order > 1 and all(c.normally_generates for c in class_balls(table))
+    return table.order > 1 and all(c.normally_generates for c in class_balls(table)[0])
 
 
 @dataclass
@@ -536,7 +539,7 @@ class DeltaReport:
     classes: list[ClassBall] = field(repr=False)
 
 
-def _minimal_generating_sets(table: FiniteGroupTable, units: list[ClassBall], firsts):
+def _minimal_generating_sets(units: list[ClassBall], search):
     """The minimal normally generating unit sets, lexicographically, and the searches run.
 
     Maximal normal subgroups: walk up from the trivial one, joining one unit
@@ -546,7 +549,7 @@ def _minimal_generating_sets(table: FiniteGroupTable, units: list[ClassBall], fi
     maximal subgroup's complement; a minimal hitting set grows in unit order
     while each of its units hits a complement that no other of them hits.
     """
-    full = (1 << len(units)) - 1
+    full = reduce(or_, (u.reaches for u in units), 0)  # every class
     join = {u.reaches: u.reaches for u in units}
     gens: dict[int, tuple[int, ...]] = {0: ()}  # proper normal subgroup -> generating units
     todo, searches = [0], 0  # todo grows while it is walked
@@ -554,15 +557,14 @@ def _minimal_generating_sets(table: FiniteGroupTable, units: list[ClassBall], fi
         for i, u in enumerate(units):
             union = sub | u.reaches
             if union not in join and union != full:
-                letters = [units[j].unit for j in gens[sub] + (i,)]
-                join[union] = _unit_search(table, letters, firsts)[1]
+                join[union] = search([units[j].unit for j in gens[sub] + (i,)])[1]
                 searches += 1
             closed = join.get(union, full)
             if closed not in gens and closed != full:
                 gens[closed], join[closed] = gens[sub] + (i,), closed
                 todo.append(closed)
     tops = [sub for sub in todo if {join.get(sub | u.reaches, full) for u in units} <= {sub, full}]
-    hits = [sum(1 << m for m, t in enumerate(tops) if not t >> i & 1) for i in range(len(units))]
+    hits = [sum(1 << m for m, t in enumerate(tops) if not t >> u.unit[0] & 1) for u in units]
     out = []
 
     def grow(chosen, own, covered):  # own[j]: the complements only chosen[j] hits
@@ -577,7 +579,7 @@ def _minimal_generating_sets(table: FiniteGroupTable, units: list[ClassBall], fi
     return out, searches
 
 
-def _delta_levels(table: FiniteGroupTable, classes: list[ClassBall]):
+def _delta_levels(table: FiniteGroupTable):
     """The DeltaReport for k = 1, 2, ... in turn.
 
     A unit set normally generates iff no maximal normal subgroup contains
@@ -586,6 +588,7 @@ def _delta_levels(table: FiniteGroupTable, classes: list[ClassBall]):
     then in lexicographic unit order, keeping the first maximum.  k = 1
     reads off the class searches alone.
     """
+    classes, search = class_balls(table)
     best, witness, checked = None, [], len(classes)
     for c in classes:
         if c.normally_generates and (best is None or c.diameter > best):
@@ -593,12 +596,11 @@ def _delta_levels(table: FiniteGroupTable, classes: list[ClassBall]):
     yield DeltaReport(1, best is not None, best, witness, False, checked, classes)
     first: dict[tuple[int, ...], ClassBall] = {}
     units = [first.setdefault(c.unit, c) for c in classes if c.unit not in first]
-    firsts = np.array([u.unit[0] for u in units], dtype=np.int64)
-    sets, searches = _minimal_generating_sets(table, units, firsts)
+    sets, searches = _minimal_generating_sets(units, search)
     checked += searches
     for size in range(2, max([2, *map(len, sets)]) + 1):
         for cand in (s for s in sets if len(s) == size):
-            diameter = _unit_search(table, [units[i].unit for i in cand], firsts)[0]
+            diameter = search([units[i].unit for i in cand])[0]
             checked += 1
             if best is None or diameter > best:
                 best, witness = diameter, [units[i].rep for i in cand]
@@ -614,10 +616,9 @@ def delta_exhaustive(table: FiniteGroupTable, k: int | None = 1) -> DeltaReport:
     """
     if k is not None and k < 1:
         raise MalformedInput(f"Delta_k needs k >= 1, got {k}")
-    classes = class_balls(table)
-    for rpt in _delta_levels(table, classes):
+    for rpt in _delta_levels(table):
         if rpt.k == k:
             break
-    simple = k != 1 and bool(classes) and all(c.normally_generates for c in classes)
+    simple = k != 1 and bool(rpt.classes) and all(c.normally_generates for c in rpt.classes)
     return replace(rpt, k=k or table.order, simple_shortcut=simple)
 

@@ -18,7 +18,6 @@ from .ballsearch import (
     FiniteGroupTable,
     _delta_levels,
     ball_bfs,
-    class_balls,
     delta_exhaustive,
     enumerate_group,
 )
@@ -56,7 +55,7 @@ def check_quotient_bound(
     Delta_{n0} and Delta_{n0+k} of G come from one walk of its levels, so
     its maximal normal subgroups are found once.
     """
-    levels = _delta_levels(table_g, class_balls(table_g))
+    levels = _delta_levels(table_g)
     for dn0 in levels:  # the first attained level is Delta_{n0}
         if dn0.attained:
             break
@@ -139,7 +138,7 @@ def check_ball_image(
 def _ball_image_row(rpt_g: BallReport, rpt_h: BallReport) -> CheckRow:
     """check_ball_image for the searches of s in G and of psi(s) in H."""
     table_g, table_h = rpt_g.table, rpt_h.table
-    dmax = rpt_g.diameter if rpt_g.diameter is not None else int(rpt_g.norms.max())
+    dmax = max(len(rpt_g.growth), len(rpt_h.growth)) - 1  # the last level of either ball
     holds = True
     for d in range(dmax + 1):
         keys_g = table_g.keys[rpt_g.norms <= d]
@@ -206,7 +205,7 @@ def check_ball_multiplicativity(rpt: BallReport) -> CheckRow:
     table = rpt.table
     if table.order > 100:
         raise ValueError("set-wise ball products are for tiny groups")
-    levels = int(rpt.norms.max())
+    levels = len(rpt.growth) - 1
     balls = [
         [table.matrix_at(i) for i in np.flatnonzero(rpt.norms <= d)]
         for d in range(levels + 1)

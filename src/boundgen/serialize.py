@@ -9,7 +9,7 @@ raise MalformedInput otherwise.
 
 from __future__ import annotations
 
-from .errors import MalformedInput, VerificationFailed
+from .errors import MalformedInput
 from .matrices import MatrixSL
 from .rings import RingSpec
 from .words import ConjWord, GenSet, Letter, verify_word

@@ -16,7 +16,7 @@ from boundgen.inequalities import (
     check_product_bound,
     check_quotient_bound,
 )
-from boundgen.matrices import elementary, identity, is_scalar, reduce_ring
+from boundgen.matrices import elementary, is_scalar, reduce_ring
 from boundgen.rand import SplitMix64
 from boundgen.rings import RingSpec
 from boundgen.witness import build_lower_witness, class_size_lower, delta_upper

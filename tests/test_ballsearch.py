@@ -11,6 +11,7 @@ import pytest
 import boundgen
 from boundgen import ballsearch
 from boundgen.ballsearch import (
+    _delta_levels,
     backtrack_word,
     ball_bfs,
     class_closure,
@@ -26,6 +27,7 @@ from boundgen.inequalities import product_table
 from boundgen.matrices import MatrixSL, elementary, identity
 from boundgen.rand import SplitMix64
 from boundgen.rings import RingSpec
+from boundgen.witness import delta_upper
 from boundgen.words import GenSet, eval_word
 
 F2 = RingSpec.prime_field(2)
@@ -235,6 +237,21 @@ def test_large_unit_pulls_its_last_level():
     assert time.perf_counter() - start < 60
     assert len(rpt.alphabet) == 20736
     assert rpt.growth == [1, 20737, 938995, 943488]
+
+
+def test_delta_sl3_z6_within_the_residue_bound():
+    # one walk of the class searches gives Delta_1 and Delta_2 of SL(3,Z/6)
+    # (943,488 elements, 72 classes); both lie under 12 omega(6) (n-1) = 48
+    z6 = RingSpec.residue(6)
+    table = enumerate_group(z6, 3)
+    start = time.perf_counter()
+    levels = _delta_levels(table)
+    rows = [next(levels), next(levels)]
+    assert time.perf_counter() - start < 60
+    assert [(r.k, r.value, r.checked_sets) for r in rows] == [(1, 3, 71), (2, 6, 104)]
+    for r in rows:
+        bound = delta_upper(3, r.k, "residue", l=6).value
+        assert bound == 48 and r.value <= bound
 
 
 @pytest.mark.parametrize("k", [1, 2, None])

@@ -5,9 +5,9 @@ The reference below finds group elements by brute force over all matrices
 with every group element and runs a set-based BFS, all in plain-integer
 tuple arithmetic written for this file; no ballsearch helper is used.  Keys
 follow the engine's documented format, entry[idx] * q^idx in row-major
-order, so keys, growth, norms and classes can be compared exactly.  Its
-Delta_k tries every set of non-identity elements, where the engine searches
-sets of class units.
+order, so keys, growth, norms, classes and the class searches' reach can be
+compared exactly.  Its Delta_k tries every set of non-identity elements,
+where the engine searches sets of class units.
 """
 
 from itertools import combinations, product
@@ -16,7 +16,13 @@ from math import gcd
 import pytest
 
 from boundgen import ballsearch
-from boundgen.ballsearch import ball_bfs, conjugacy_classes, delta_exhaustive, enumerate_group
+from boundgen.ballsearch import (
+    ball_bfs,
+    class_balls,
+    conjugacy_classes,
+    delta_exhaustive,
+    enumerate_group,
+)
 from boundgen.matrices import MatrixSL
 from boundgen.rings import RingSpec
 
@@ -210,6 +216,23 @@ def test_balls_match_reference(group):
         growth, norms = ref.ball([m.entries for m in s])
         assert rpt.growth == growth
         assert rpt.norms.tolist() == norms
+
+
+def test_class_searches_match_reference(group):
+    # the class search of every unit, and of the first and last units
+    # together: its diameter, and its reached classes against the elements
+    # of finite norm
+    table, ref = group
+    classes = conjugacy_classes(table)
+    balls, search = class_balls(table)
+    for units in [[b] for b in balls] + [[balls[0], balls[-1]]]:
+        diameter, reaches = search([b.unit for b in units])
+        growth, norms = ref.ball([b.rep.entries for b in units])
+        assert diameter == (len(growth) - 1 if growth[-1] == table.order else None)
+        if len(units) == 1:
+            assert (diameter, reaches) == (units[0].diameter, units[0].reaches)
+        reached = {key for i, c in enumerate(classes) if reaches >> i & 1 for key in c.keys}
+        assert reached == {k for k, d in zip(ref.keys(), norms) if d != UNREACHED}
 
 
 def test_balls_match_reference_in_small_gathers(group, monkeypatch):

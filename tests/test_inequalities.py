@@ -1,7 +1,8 @@
 from boundgen import ballsearch
-from boundgen.ballsearch import delta_exhaustive, enumerate_group
+from boundgen.ballsearch import FiniteGroupTable, ball_bfs, delta_exhaustive, enumerate_group
 from boundgen.inequalities import (
     check_ball_image,
+    check_ball_multiplicativity,
     check_extension_bound,
     check_product_bound,
     check_quotient_bound,
@@ -45,13 +46,13 @@ def test_quotient_bound_walks_levels_once(monkeypatch):
     g = product_table([gens, gens], F2)
     h = enumerate_group(F2, 2)
     searches = []
-    frontier_levels = ballsearch._frontier_levels
+    class_search = ballsearch._class_search
 
     def counted(*args, **kwargs):
         searches.append(1)
-        return frontier_levels(*args, **kwargs)
+        return class_search(*args, **kwargs)
 
-    monkeypatch.setattr(ballsearch, "_frontier_levels", counted)
+    monkeypatch.setattr(ballsearch, "_class_search", counted)
     row = check_quotient_bound(g, h)
     assert (row.lhs, row.rhs, row.holds, row.context["n0"]) == (2, 4, True, 2)
     assert len(searches) == 31
@@ -70,6 +71,36 @@ def test_ball_image():
     h = enumerate_group(RingSpec.residue(2), 2)
     row = check_ball_image(g, h, [elementary(1, 2, 1, 2, RingSpec.residue(4))])
     assert row.holds
+
+
+def test_ball_image_of_a_non_generating_set_stops_at_its_last_level():
+    # E_12(2) normally generates only the kernel of SL(2,Z/4) -> SL(2,Z/2):
+    # growth [1, 4, 7, 8], so levels 0..3 are compared, not one per uint16 value
+    g = enumerate_group(RingSpec.residue(4), 2)
+    h = enumerate_group(RingSpec.residue(2), 2)
+    row = check_ball_image(g, h, [elementary(1, 2, 2, 2, RingSpec.residue(4))])
+    assert row.holds
+    assert row.context["levels"] == 4
+
+
+def test_ball_multiplicativity_of_a_non_generating_set(monkeypatch):
+    # the 3-cycle E_12(1) E_21(1) of S_3 = SL(2,F2) reaches A_3 only, growth
+    # [1, 3]: one ball per level, 4 elements in all, and no ball past level 1
+    s3 = enumerate_group(F2, 2)
+    rpt = ball_bfs(s3, [elementary(1, 2, 1, 2, F2) * elementary(2, 1, 1, 2, F2)])
+    assert rpt.growth == [1, 3]
+    built = []
+    matrix_at = FiniteGroupTable.matrix_at
+
+    def counted(table, index):
+        built.append(index)
+        if len(built) > s3.order:
+            raise RuntimeError("a ball beyond the last level")
+        return matrix_at(table, index)
+
+    monkeypatch.setattr(FiniteGroupTable, "matrix_at", counted)
+    assert check_ball_multiplicativity(rpt).holds
+    assert len(built) == 4
 
 
 def test_splitting():
