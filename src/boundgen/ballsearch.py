@@ -29,13 +29,13 @@ Delta_k ranges over sets of class units (a nontrivial class with the class
 of its inverses).  A set's norm is a class function, so its search runs on
 classes: if g in C is on level L, g*a in C' and rep(C) = h*g*h^-1, then
 rep(C)*(h*a*h^-1) lies in C' and h*a*h^-1 is a letter.  So level L+1 is the
-unvisited classes that the reps of level L reach in one letter, read
-through one class index over the key space.  On SL(3,Z/6) (943,488
-elements, 72 classes) Delta_1 = 3 and Delta_2 = 6 take about 6 s on one
-Intel Xeon core.  A unit set normally generates iff no maximal normal
-subgroup contains it, so only the minimal hitting sets of the maximal
-subgroups' complements are searched; the maximal subgroups come from
-joins of the single-class closures.
+unvisited classes that the reps of level L reach in one letter, read from
+one C^3-byte class product table per group (C classes).  On SL(3,Z/6)
+(943,488 elements, 72 classes) Delta_1 = 3 and Delta_2 = 6 take about 4 s
+on one Intel Xeon core, at a peak RSS of about 150 MB.  A unit set normally
+generates iff no maximal normal subgroup contains it, so only the minimal
+hitting sets of the maximal subgroups' complements are searched; the
+maximal subgroups come from joins of the single-class closures.
 """
 
 from __future__ import annotations
@@ -440,11 +440,11 @@ def backtrack_word(report: BallReport, target: MatrixSL) -> ConjWord:
 @dataclass
 class ConjClass:
     rep_key: int
-    keys: list[int]
+    keys: np.ndarray  # sorted int64
 
     @property
     def size(self) -> int:
-        return len(self.keys)
+        return int(self.keys.size)
 
 
 def conjugacy_classes(table: FiniteGroupTable) -> list[ConjClass]:
@@ -457,7 +457,7 @@ def conjugacy_classes(table: FiniteGroupTable) -> list[ConjClass]:
     for key in table.keys.tolist():
         if not seen[key]:
             members = _conjugation_walk(table, key, seen)[0]
-            out.append(ConjClass(key, np.sort(members).tolist()))
+            out.append(ConjClass(key, np.sort(members)))
     return out
 
 
@@ -476,40 +476,46 @@ class ClassBall:
     reaches: int
 
 
-def _class_search(table: FiniteGroupTable, classes, index: np.ndarray, units):
-    """The class search over the letters of units: its diameter, None if they
-    do not normally generate, and the bitmask of the classes it reaches."""
-    keys = np.array([key for unit in units for i in unit for key in classes[i].keys])
-    tables = _row_tables(table, table.decode(keys))
-    reps = np.array([c.rep_key for c in classes], dtype=np.int64)
-    frontier, levels = index[[table.identity_key]], 0
-    visited = np.arange(len(classes)) == frontier[0]
-    while frontier.size and not visited.all():
-        reached = np.unique(index[_gather(tables, reps[frontier], table.ring.modulus, table.n)])
-        frontier = reached[~visited[reached]]
-        visited[frontier] = True
+def _class_search(hits: np.ndarray, origin: int, units):
+    """The class search over the letters of units, on the class product table
+    from the identity's class origin: its diameter, None if they do not
+    normally generate, and the bitmask of the classes it reaches."""
+    step = hits[:, [i for unit in units for i in unit]].any(axis=1)  # class -> class in one letter
+    visited = np.arange(len(hits)) == origin
+    frontier, levels = visited.copy(), 0
+    while frontier.any() and not visited.all():
+        frontier = step[frontier].any(axis=0) & ~visited
+        visited |= frontier
         levels += 1
     return (levels if visited.all() else None), sum(1 << int(i) for i in np.flatnonzero(visited))
 
 
 def class_balls(table: FiniteGroupTable) -> tuple[list[ClassBall], partial]:
     """The ball search of [rep] for each nontrivial class rep, in class order,
-    and the class search over any list of units.  The class index maps each
-    key to its class position; a class and its inverse class share one unit.
-    """
+    and the class search over any list of units, both read from the class
+    product table hits[i, j, k]: some element of class j times rep(class i)
+    lies in class k.  Class i's unit adds the class j holding rep(class i)^-1,
+    the one with the identity's class in hits[i, j]."""
     classes = conjugacy_classes(table)
-    index = np.zeros(table.key_space, dtype=np.min_scalar_type(len(classes)))
-    for i, c in enumerate(classes):
-        index[c.keys] = i
-    search = partial(_class_search, table, classes, index)
-    id_key, balls, searches = table.identity_key, [], {}
-    for i, c in enumerate(classes):
-        if c.rep_key != id_key:
-            rep = table.matrix_at(table.index_of_key(c.rep_key))
-            unit = tuple(sorted({i, int(index[table.key_of(rep.inv().entries)])}))
+    c = len(classes)
+    index = np.zeros(table.key_space, dtype=np.min_scalar_type(c))
+    for i, cls in enumerate(classes):
+        index[cls.keys] = i
+    tables = _row_tables(table, table.decode(np.array([cls.rep_key for cls in classes])))
+    hits = np.zeros((c, c, c), dtype=bool)
+    block = max(1, _GATHER_CELLS // c)
+    for keys in np.split(table.keys, range(block, table.order, block)):
+        images = _gather(tables, keys, table.ring.modulus, table.n)
+        hits.reshape(-1)[(np.arange(c) * c + index[keys][:, None]) * c + index[images]] = True
+    origin, balls, searches = int(index[table.identity_key]), [], {}
+    search = partial(_class_search, hits, origin)
+    for i, cls in enumerate(classes):
+        if i != origin:
+            unit = tuple(sorted({i, int(np.flatnonzero(hits[i, :, origin])[0])}))
             if unit not in searches:
                 searches[unit] = search([unit])
-            balls.append(ClassBall(c, rep, unit, searches[unit][0] is not None, *searches[unit]))
+            rep = table.matrix_at(table.index_of_key(cls.rep_key))
+            balls.append(ClassBall(cls, rep, unit, searches[unit][0] is not None, *searches[unit]))
     return balls, search
 
 

@@ -229,15 +229,10 @@ def check_lipschitz(rpt_g: BallReport, rpt_h: BallReport) -> CheckRow:
     c = max(rpt_h.norm_of(m) for m in rpt_h.genset)
     img_keys = _reduce_keys(table_g, table_h, table_g.keys)
     dense_h = rpt_h._dense
-    ok = True
-    worst = 0
-    for key_g, norm_g in zip(table_g.keys.tolist(), rpt_g.norms.tolist()):
-        if norm_g == 0xFFFF:
-            continue
-        norm_h = int(dense_h[img_keys[table_g.index_of_key(key_g)]])
-        if norm_h > c * norm_g:
-            ok = False
-        worst = max(worst, norm_h - c * norm_g)
+    ok = all(
+        norm_g == 0xFFFF or int(dense_h[img_key]) <= c * norm_g
+        for img_key, norm_g in zip(img_keys.tolist(), rpt_g.norms.tolist())
+    )
     return CheckRow(
         "Lipschitz: nu(psi(g)) <= C ||g||_S",
         "max slack",
@@ -279,7 +274,6 @@ def check_splitting_bound(
     rows = []
     order = table_prod.order
     factors = []
-    n = table_prod.n
     offset = 0
     mats = table_prod.decode(table_prod.keys)
     for dim in dims:

@@ -239,19 +239,30 @@ def test_large_unit_pulls_its_last_level():
     assert rpt.growth == [1, 20737, 938995, 943488]
 
 
-def test_delta_sl3_z6_within_the_residue_bound():
-    # one walk of the class searches gives Delta_1 and Delta_2 of SL(3,Z/6)
-    # (943,488 elements, 72 classes); both lie under 12 omega(6) (n-1) = 48
-    z6 = RingSpec.residue(6)
-    table = enumerate_group(z6, 3)
+# (k, Delta_k, checked sets) of SL(3,Z/l) for k = 1, 2
+RESIDUE_ROWS = {
+    2: [(1, 3, 5), (2, 3, 5)],
+    3: [(1, 3, 11), (2, 3, 11)],
+    4: [(1, 4, 29), (2, 4, 29)],
+    5: [(1, 3, 29), (2, 3, 29)],
+    6: [(1, 3, 71), (2, 6, 104)],
+}
+
+
+@pytest.mark.parametrize("l", RESIDUE_ROWS)
+def test_delta_sl3_within_the_residue_bound(l):
+    # one walk of the class searches gives Delta_1 and Delta_2 of SL(3,Z/l);
+    # both lie under 12 omega(l) (n-1), which is 24, or 48 for l = 6.
+    # SL(3,Z/6) has 943,488 elements in 72 classes.
+    table = enumerate_group(RingSpec.residue(l), 3)
     start = time.perf_counter()
     levels = _delta_levels(table)
     rows = [next(levels), next(levels)]
     assert time.perf_counter() - start < 60
-    assert [(r.k, r.value, r.checked_sets) for r in rows] == [(1, 3, 71), (2, 6, 104)]
+    assert [(r.k, r.value, r.checked_sets) for r in rows] == RESIDUE_ROWS[l]
     for r in rows:
-        bound = delta_upper(3, r.k, "residue", l=6).value
-        assert bound == 48 and r.value <= bound
+        bound = delta_upper(3, r.k, "residue", l=l).value
+        assert bound == (48 if l == 6 else 24) and r.value <= bound
 
 
 @pytest.mark.parametrize("k", [1, 2, None])

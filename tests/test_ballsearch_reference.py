@@ -203,7 +203,7 @@ def test_enumeration_matches_reference(group):
 
 def test_classes_match_reference(group):
     table, ref = group
-    assert [(c.rep_key, c.keys) for c in conjugacy_classes(table)] == ref.classes()
+    assert [(c.rep_key, c.keys.tolist()) for c in conjugacy_classes(table)] == ref.classes()
 
 
 def test_balls_match_reference(group):
@@ -218,21 +218,34 @@ def test_balls_match_reference(group):
         assert rpt.norms.tolist() == norms
 
 
-def test_class_searches_match_reference(group):
-    # the class search of every unit, and of the first and last units
-    # together: its diameter, and its reached classes against the elements
-    # of finite norm
+def test_class_searches_match_reference(group, monkeypatch):
+    # every unit against the classes of its rep and of the rep's inverse;
+    # the class search of every unit and of every pair of units: its
+    # diameter, and its reached classes against the elements of finite norm.
+    # With 16-cell gathers the class product table is built in many blocks.
     table, ref = group
-    classes = conjugacy_classes(table)
-    balls, search = class_balls(table)
-    for units in [[b] for b in balls] + [[balls[0], balls[-1]]]:
-        diameter, reaches = search([b.unit for b in units])
-        growth, norms = ref.ball([b.rep.entries for b in units])
-        assert diameter == (len(growth) - 1 if growth[-1] == table.order else None)
-        if len(units) == 1:
-            assert (diameter, reaches) == (units[0].diameter, units[0].reaches)
-        reached = {key for i, c in enumerate(classes) if reaches >> i & 1 for key in c.keys}
-        assert reached == {k for k, d in zip(ref.keys(), norms) if d != UNREACHED}
+    classes = ref.classes()
+    position = {k: i for i, (_, members) in enumerate(classes) for k in members}
+    balls_of = {}  # the reference ball of each searched unit list
+    for cells in (ballsearch._GATHER_CELLS, 16):
+        monkeypatch.setattr(ballsearch, "_GATHER_CELLS", cells)
+        balls, search = class_balls(table)
+        first = {}
+        for b in balls:
+            rep = b.rep.entries
+            assert b.unit == tuple(sorted({position[key(m, ref.q)] for m in (rep, ref.inverse[rep])}))
+            first.setdefault(b.unit, b)
+        for units in [[b] for b in balls] + [list(p) for p in combinations(first.values(), 2)]:
+            diameter, reaches = search([b.unit for b in units])
+            unit_list = tuple(b.unit for b in units)
+            if unit_list not in balls_of:
+                balls_of[unit_list] = ref.ball([b.rep.entries for b in units])
+            growth, norms = balls_of[unit_list]
+            assert diameter == (len(growth) - 1 if growth[-1] == table.order else None)
+            if len(units) == 1:
+                assert (diameter, reaches) == (units[0].diameter, units[0].reaches)
+            reached = {k for i, (_, members) in enumerate(classes) if reaches >> i & 1 for k in members}
+            assert reached == {k for k, d in zip(ref.keys(), norms) if d != UNREACHED}
 
 
 def test_balls_match_reference_in_small_gathers(group, monkeypatch):
