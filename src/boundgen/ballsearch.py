@@ -9,9 +9,11 @@ own.  So per search one table per (scalar, letter, row) maps a row digit to
 that row's share of the image key, and the key of an image, scalar
 canonicalization included, is a minimum over scalars of n table lookups.
 
-One level-synchronous frontier routine, over a dense uint16 level array,
-serves group enumeration (letters: the generators and their inverses) and
-the ball of a set S (letters: its class alphabet).  A level is a push or a
+All of SL(n, Z/l) is enumerated by a determinant sieve over the same row
+digits: det M is row 0 times the cofactors of the other rows.  One
+level-synchronous frontier routine, over a dense uint16 level array, serves
+subgroup enumeration (letters: the generators and their inverses) and the
+ball of a set S (letters: its class alphabet).  A level is a push or a
 pull (direction-optimizing BFS).  A push maps every frontier element by
 every letter.  Once fewer elements are unvisited than the frontier holds, a
 pull tests each unvisited element M instead and stops at its first letter
@@ -47,14 +49,14 @@ from operator import or_
 import numpy as np
 
 from .errors import BudgetExceeded, DimMismatch, MalformedInput, RingMismatch, SelfCheckFailed
-from .matrices import MatrixSL, _mul_entries, elementary, identity
+from .matrices import MatrixSL, _det_int, _mul_entries, elementary, identity
 from .rings import RingSpec, factorize, is_unit
 from .witness import sl_order
 from .words import ConjWord, Letter
 
 DENSE_KEY_LIMIT = 2 ** 27
 _SENT = np.uint16(0xFFFF)
-_GATHER_CELLS = 2 ** 17  # frontier rows x letters per gather block
+_GATHER_CELLS = 2 ** 17  # cells per numpy block: frontier rows x letters in a gather
 
 
 def sl_order_mod(n: int, l: int) -> int:
@@ -137,13 +139,16 @@ def enumerate_group(
     psl: bool = False,
     gens: list[MatrixSL] | None = None,
 ) -> FiniteGroupTable:
-    """Orbit closure of the generators under right multiplication.
+    """All of SL(n, Z/l) (or PSL) by a determinant sieve, or with gens= the
+    orbit closure of the generators under right multiplication.
 
-    Default generators are the E_{i,j}(+-1), which generate all of
-    SL(n, Z/l); in that case the element count is checked against the
-    closed-form order, certifying completeness.  BudgetExceeded when the
-    key space q^(n^2) exceeds DENSE_KEY_LIMIT; every group within it has
-    at most |SL(4, F_3)| = 12,130,560 elements.
+    The full group is the set of det-1 grids, read off the row-digit key
+    by _sieve_keys, and its element count is checked against the
+    closed-form order.  table.gens are then the E_{i,j}(+-1), which
+    generate SL(n, Z/l): the conjugation walks of the class partition and
+    of class_closure step by them.  BudgetExceeded when the key space
+    q^(n^2) exceeds DENSE_KEY_LIMIT; every group within it has at most
+    |SL(4, F_3)| = 12,130,560 elements.
     """
     if ring.modulus is None:
         raise RingMismatch("enumeration needs a finite coefficient ring")
@@ -175,17 +180,64 @@ def enumerate_group(
     scalars = [lam for lam in range(1, q) if is_unit(lam, ring) and pow(lam, n, q) == 1]
     scalars = scalars if psl else [1]
     table = FiniteGroupTable(ring, n, psl, np.empty(0, dtype=np.int64), gens_t, scalars)
-    levels, _ = _frontier_levels(table, gens_t)
-    table.keys = np.flatnonzero(levels != _SENT)
-    if full_group:
-        expected = sl_order_mod(n, q)
-        if psl:
-            expected //= len(scalars)
-        if table.order != expected:
-            raise SelfCheckFailed(
-                f"enumerated {table.order} elements, closed form gives {expected}"
-            )
+    if not full_group:
+        levels, _ = _frontier_levels(table, gens_t)
+        table.keys = np.flatnonzero(levels != _SENT)
+        return table
+    table.keys = _sieve_keys(table)
+    expected = sl_order_mod(n, q) // len(scalars)
+    if table.order != expected:
+        raise SelfCheckFailed(f"enumerated {table.order} elements, closed form gives {expected}")
     return table
+
+
+def _sieve_keys(table: FiniteGroupTable) -> np.ndarray:
+    """The sorted keys of every det-1 grid, least in its scalar coset for psl.
+
+    Write key = row0 + q^n * rest, rest holding rows 1..n-1.  Then
+    det M = row0 . cof, where cof_c is (-1)^c times the minor of rows
+    1..n-1 without column c; _det_int's closed forms run on arrays, and
+    n - 1 <= 4 within DENSE_KEY_LIMIT.  So with unit[c, v] = (c . v == 1
+    mod q), a block of rest values reads its grids off unit[cofkey(rest)],
+    whose flat positions are their keys in ascending order.  A psl grid
+    stays iff no lam*M has a smaller key, and the rest alone decides: a
+    scalar lam != 1 fixing rows 1..n-1 would give det(lam*M) = lam*det M,
+    not det M.  S_lam[v] is the row key of lam*v.  Every step runs in
+    blocks of about _GATHER_CELLS cells.
+    """
+    q, n = table.ring.modulus, table.n
+    width = q ** n  # row keys
+    powers = q ** np.arange(n)
+    # int16 holds each row entry, minor and cofactor key: q^n <= 107^2 within the limit
+    rows = (np.arange(width)[:, None] // powers % q).astype(np.int16)
+    block = max(1, _GATHER_CELLS // width)
+    # c . v sums n residues a*d mod q, one per digit axis of v: below n*q <= 214
+    prods = (np.arange(q)[:, None] * np.arange(q) % q).astype(np.uint8)
+    unit = np.empty((width, width), dtype=bool)
+    for start in range(0, width, block):
+        cofs = rows[start : start + block]
+        dot = np.zeros((len(cofs),) + (q,) * n, dtype=np.uint8)
+        for j in range(n):  # digit j of a row key is axis n - j
+            dot += prods[cofs[:, j]].reshape((len(cofs),) + (1,) * (n - 1 - j) + (q,) + (1,) * j)
+        dot = dot.reshape(len(cofs), width)
+        unit[start : start + block] = reduce(or_, (dot == 1 + m * q for m in range(n)))
+    scaled = [rows * lam % q @ powers for lam in table.scalars[1:]]  # S_lam, lam != 1
+    rests = q ** (n * n - n)
+    out = []
+    for start in range(0, rests, block):
+        rest = np.arange(start, min(start + block, rests), dtype=np.int32)
+        digits = [rest // width ** r % width for r in range(n - 1)]  # rows 1..n-1
+        below = [list(rows.T.take(d, axis=1)) for d in digits]
+        cofkey = sum(
+            (-1) ** c * _det_int(n - 1, [row[:c] + row[c + 1 :] for row in below]) % q * q ** c
+            for c in range(n)
+        )
+        mask = unit.take(cofkey, axis=0)
+        for s in scaled:  # psl
+            mask[rest > sum(s.take(d) * width ** r for r, d in enumerate(digits))] = False
+        # int32 blocks (keys < DENSE_KEY_LIMIT) hold half the bytes of the int64 result
+        out.append((np.flatnonzero(mask) + start * width).astype(np.int32))
+    return np.concatenate(out, dtype=np.int64)
 
 
 def _row_tables(table: FiniteGroupTable, letters: list[tuple] | np.ndarray) -> np.ndarray:
@@ -248,8 +300,8 @@ def _frontier_levels(
     directions fill the same level, so the levels do not depend on which
     one ran.  A search that
     does not normally generate never pulls: its unvisited count is at least
-    |G - N| >= |N|, more than any frontier.  Neither does enumerate_group,
-    whose table.order is 0 while the table is filled.
+    |G - N| >= |N|, more than any frontier.  Neither does subgroup
+    enumeration, whose table.order is 0 while the table is filled.
     """
     q, n = table.ring.modulus, table.n
     tables = _row_tables(table, letters)
@@ -277,7 +329,7 @@ def _frontier_levels(
                 images = _gather(tables, frontier[start : start + block], q, n)
                 levels[images[levels.take(images) == _SENT]] = level
         # a ball search reads the new level off the group's keys, a tenth of
-        # the key space on SL(3,Z/6); enumeration has no keys yet
+        # the key space on SL(3,Z/6); a subgroup enumeration has no keys yet
         if table.order:
             frontier = table.keys[levels.take(table.keys) == level]
         else:

@@ -69,6 +69,37 @@ def test_psl_enumeration():
     assert len(psl.scalars) == 2
 
 
+SIEVED = (
+    [(2, l, psl) for l in range(2, 13) for psl in (False, True)]
+    + [(3, l, psl) for l in range(2, 6) for psl in (False, True)]
+    + [(4, 2, False)]
+)
+
+
+@pytest.mark.parametrize("n, l, psl", SIEVED)
+def test_sieve_matches_orbit_closure(n, l, psl, monkeypatch):
+    # the determinant sieve of the full group against the push BFS that
+    # gens= runs from the same E_ij(+-1); with 64-cell blocks the sieve runs
+    # in many blocks, down to one rest value each
+    ring = RingSpec.residue(l)
+    gens = [
+        elementary(i, j, v, n, ring)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if i != j
+        for v in (1, l - 1)
+    ]
+    closure = enumerate_group(ring, n, psl, gens=gens)
+    for cells in (ballsearch._GATHER_CELLS, 64):
+        monkeypatch.setattr(ballsearch, "_GATHER_CELLS", cells)
+        table = enumerate_group(ring, n, psl)
+        assert table.keys.dtype == closure.keys.dtype
+        assert table.keys.tolist() == closure.keys.tolist()
+        assert (table.gens, table.scalars) == (closure.gens, closure.scalars)
+    if (l, psl) == (8, True):
+        assert table.scalars == [1, 3, 5, 7]
+
+
 def test_key_space_limit_refuses_before_enumerating():
     # 9^9 keys exceed the 2^27 dense limit, the one size limit of enumeration
     with pytest.raises(BudgetExceeded, match="dense index limit 134217728"):

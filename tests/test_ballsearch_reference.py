@@ -30,11 +30,8 @@ UNREACHED = 0xFFFF
 
 
 def mat_mul(a, b, q):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % q for j in range(n))
-        for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % q for col in cols) for row in a)
 
 
 def det(m):
@@ -56,6 +53,7 @@ class Reference:
     def __init__(self, q, n, psl=False, gens=None):
         self.q = q
         self.n = n
+        self.products = {}
         self.scalars = [
             lam for lam in range(1, q) if gcd(lam, q) == 1 and pow(lam, n, q) == 1
         ] if psl else [1]
@@ -77,13 +75,23 @@ class Reference:
 
     def canon(self, m):
         q = self.q
+        if self.scalars == [1]:  # every grid here is reduced mod q
+            return m
         return min(
             (tuple(tuple(v * lam % q for v in row) for row in m) for lam in self.scalars),
             key=lambda t: key(t, q),
         )
 
     def mul(self, a, b):
-        return self.canon(mat_mul(a, b, self.q))
+        # memoised up to SL(2,F7) (336 elements, 112,896 products), whose
+        # class searches ask for each product about nine times; the one
+        # SL(3,F3) ball asks for most of its products once
+        if len(self.elements) > 336:
+            return self.canon(mat_mul(a, b, self.q))
+        ab = self.products.get((a, b))
+        if ab is None:
+            ab = self.products[a, b] = self.canon(mat_mul(a, b, self.q))
+        return ab
 
     def power_inverse(self, g):
         power, prev = g, self.one

@@ -34,3 +34,30 @@ def test_no_unused_imports():
     files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
     assert files
     assert [hit for path in files for hit in unused_imports(path)] == []
+
+
+def dead_helpers(paths: list[Path]) -> list[str]:
+    """The module-level _private functions that no code in paths reads.
+
+    A reference inside the function's own definition (recursion) does not
+    count; a call, an attribute read or a name passed along anywhere else
+    does.
+    """
+    defined, used = {}, set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            own = top.name if isinstance(top, ast.FunctionDef) else None
+            if own and own.startswith("_") and not own.startswith("__"):
+                defined[own] = f"{path.relative_to(ROOT)}:{top.lineno} {own}"
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name is not None and name != own:
+                    used.add(name)
+    return sorted(hit for name, hit in defined.items() if name not in used)
+
+
+def test_no_dead_private_helpers():
+    files = sorted((ROOT / "src").rglob("*.py"))
+    assert files
+    assert dead_helpers(files) == []
