@@ -13,6 +13,7 @@ from .ballsearch import (
 )
 from .factorize import (
     ElemFactorization,
+    elem_as_two,
     factor_euclid,
     factor_semilocal,
     stable_range_reduce,
@@ -31,6 +32,7 @@ from .ideals import (
 )
 from .matrices import ElemSpec, MatrixSL, elementary, identity, sigma
 from .rings import IdealGen, RingSpec
+from .serialize import genset_to_json
 from .witness import LowerBoundWitness, build_lower_witness, class_size_lower, delta_upper
 from .words import ConjWord, GenSet, eval_word, verify_word
 
@@ -59,12 +61,14 @@ __all__ = [
     "delta_exhaustive",
     "delta_upper",
     "double_commutator",
+    "elem_as_two",
     "elementary",
     "enumerate_group",
     "eval_word",
     "factor_euclid",
     "factor_semilocal",
     "gcd_reduce_row",
+    "genset_to_json",
     "hessenberg_ideal",
     "identity",
     "offdiag_ideal",

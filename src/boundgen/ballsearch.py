@@ -10,17 +10,16 @@ that row's share of the image key, and the key of an image, scalar
 canonicalization included, is a minimum over scalars of n table lookups.
 
 All of SL(n, Z/l) is enumerated by a determinant sieve over the same row
-digits: det M is row 0 times the cofactors of the other rows.  One
-level-synchronous frontier routine, over a dense uint16 level array, serves
-subgroup enumeration (letters: the generators and their inverses) and the
-ball of a set S (letters: its class alphabet).  A level is a push or a
-pull (direction-optimizing BFS).  A push maps every frontier element by
-every letter.  Once fewer elements are unvisited than the frontier holds, a
-pull tests each unvisited element M instead and stops at its first letter
-a with M*a on the previous level, which is exact because every ball
-alphabet is closed under inverses.  Levels never depend on visit order or
-direction; tests/test_ballsearch_reference.py checks keys, growth, norms,
-classes and class searches against a slow pure-Python BFS on small groups.
+digits: det M is row 0 times the cofactors of the other rows.  The ball of
+a set S (letters: its class alphabet) is a level-synchronous BFS over a
+dense uint16 level array.  A level is a push or a pull (direction-optimizing
+BFS).  A push maps every frontier element by every letter.  Once fewer
+elements are unvisited than the frontier holds, a pull tests each unvisited
+element M instead and stops at its first letter a with M*a on the previous
+level, which is exact because every ball alphabet is closed under inverses.
+Levels never depend on visit order or direction;
+tests/test_ballsearch_reference.py checks keys, growth, norms, classes and
+class searches against a slow pure-Python BFS on small groups.
 
 The edge alphabet of a ball is the full conjugacy-class closure of S and
 its inverses.  It comes from the same conjugation walk under the group's own
@@ -76,17 +75,26 @@ def sl_order_mod(n: int, l: int) -> int:
 class FiniteGroupTable:
     """All elements of a finite matrix group, interned by positional key.
 
-    For psl tables, elements are scalar-coset representatives: the member of
-    the coset with the least key.  keys is sorted; the position of a key in
-    it is the element's dense index.
+    keys is sorted; the position of a key in it is the element's dense
+    index.  gens generate the group; the conjugation walks step by them.  A
+    psl table identifies M with lam*M for every lam in scalars and holds the
+    member of each coset with the least key; scalars is [1] otherwise.
+    BudgetExceeded when the key space q^(n^2) exceeds DENSE_KEY_LIMIT, since
+    searches index it densely.
     """
 
     ring: RingSpec
     n: int
-    psl: bool
     keys: np.ndarray
     gens: list[tuple]
     scalars: list[int]
+
+    def __post_init__(self):
+        q, n = self.ring.modulus, self.n
+        if q ** (n * n) > DENSE_KEY_LIMIT:
+            raise BudgetExceeded(
+                f"key space {q}^{n * n} exceeds the dense index limit {DENSE_KEY_LIMIT}"
+            )
 
     @property
     def order(self) -> int:
@@ -104,16 +112,16 @@ class FiniteGroupTable:
         return (digits % q).reshape(-1, self.n, self.n)
 
     def canonical_keys(self, mats: np.ndarray) -> np.ndarray:
-        """Keys of the matrices, minimized over scalar multiples when psl."""
+        """Keys of the matrices, each minimized over its multiples by scalars."""
         q = self.ring.modulus
         flat = mats.reshape(len(mats), -1).astype(np.int64)
         powers = q ** np.arange(self.n * self.n, dtype=np.int64)
-        if not self.psl:
+        if self.scalars == [1]:
             return flat @ powers
         return np.min([flat * lam % q @ powers for lam in self.scalars], axis=0)
 
     def key_of(self, m: tuple) -> int:
-        """Key of one entry grid, minimized over scalar multiples when psl."""
+        """Key of one entry grid, minimized over its multiples by scalars."""
         q = self.ring.modulus
         flat = [v for row in m for v in row]
         return min(sum(v * lam % q * q ** i for i, v in enumerate(flat)) for lam in self.scalars)
@@ -133,21 +141,15 @@ class FiniteGroupTable:
         return self.key_of(identity(self.n, self.ring).entries)
 
 
-def enumerate_group(
-    ring: RingSpec,
-    n: int,
-    psl: bool = False,
-    gens: list[MatrixSL] | None = None,
-) -> FiniteGroupTable:
-    """All of SL(n, Z/l) (or PSL) by a determinant sieve, or with gens= the
-    orbit closure of the generators under right multiplication.
+def enumerate_group(ring: RingSpec, n: int, psl: bool = False) -> FiniteGroupTable:
+    """All of SL(n, Z/l), or PSL(n, Z/l) with psl, by a determinant sieve.
 
-    The full group is the set of det-1 grids, read off the row-digit key
-    by _sieve_keys, and its element count is checked against the
-    closed-form order.  table.gens are then the E_{i,j}(+-1), which
-    generate SL(n, Z/l): the conjugation walks of the class partition and
-    of class_closure step by them.  BudgetExceeded when the key space
-    q^(n^2) exceeds DENSE_KEY_LIMIT; every group within it has at most
+    The group is the set of det-1 grids, read off the row-digit key by
+    _sieve_keys, and its element count is checked against the closed-form
+    order.  table.gens are the E_{i,j}(1) and E_{i,j}(-1), which generate
+    SL(n, Z/l): the conjugation walks of the class partition and of
+    class_closure step by them.  BudgetExceeded when the key space q^(n^2)
+    exceeds DENSE_KEY_LIMIT; every group within it has at most
     |SL(4, F_3)| = 12,130,560 elements.
     """
     if ring.modulus is None:
@@ -155,37 +157,18 @@ def enumerate_group(
     if n < 2:
         raise DimMismatch("enumeration needs n >= 2")
     q = ring.modulus
-    if q ** (n * n) > DENSE_KEY_LIMIT:
-        raise BudgetExceeded(
-            f"key space {q}^{n * n} exceeds the dense index limit {DENSE_KEY_LIMIT}"
-        )
-    full_group = gens is None
-    if full_group:
-        gens = [
-            elementary(i, j, v, n, ring)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            if i != j
-            for v in (1, q - 1)
-        ]
-    gens_t: list[tuple] = []
-    for g in gens:
-        if g.ring != ring or g.n != n:
-            raise RingMismatch("generator ring/dimension mismatch")
-        for m in (g.entries, g.inv().entries):
-            if m not in gens_t:
-                gens_t.append(m)
-
+    gens = [
+        elementary(i, j, v, n, ring).entries
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if i != j
+        for v in sorted({1, q - 1})
+    ]
     # the scalar matrices in SL(n, ring): units lam with lam^n = 1
     scalars = [lam for lam in range(1, q) if is_unit(lam, ring) and pow(lam, n, q) == 1]
-    scalars = scalars if psl else [1]
-    table = FiniteGroupTable(ring, n, psl, np.empty(0, dtype=np.int64), gens_t, scalars)
-    if not full_group:
-        levels, _ = _frontier_levels(table, gens_t)
-        table.keys = np.flatnonzero(levels != _SENT)
-        return table
+    table = FiniteGroupTable(ring, n, np.empty(0, dtype=np.int64), gens, scalars if psl else [1])
     table.keys = _sieve_keys(table)
-    expected = sl_order_mod(n, q) // len(scalars)
+    expected = sl_order_mod(n, q) // len(table.scalars)
     if table.order != expected:
         raise SelfCheckFailed(f"enumerated {table.order} elements, closed form gives {expected}")
     return table
@@ -298,10 +281,8 @@ def _frontier_levels(
     candidates.  This needs the alphabet closed under inverses (M = P*a^-1),
     which every ball alphabet is: class_closure takes S and S^-1.  Both
     directions fill the same level, so the levels do not depend on which
-    one ran.  A search that
-    does not normally generate never pulls: its unvisited count is at least
-    |G - N| >= |N|, more than any frontier.  Neither does subgroup
-    enumeration, whose table.order is 0 while the table is filled.
+    one ran.  A search that does not normally generate never pulls: its
+    unvisited count is at least |G - N| >= |N|, more than any frontier.
     """
     q, n = table.ring.modulus, table.n
     tables = _row_tables(table, letters)
@@ -315,7 +296,7 @@ def _frontier_levels(
     # once a ball search has reached the whole group no level can add to it
     while frontier.size and growth[-1] != table.order:
         level += 1
-        if 0 < table.order - growth[-1] < frontier.size:
+        if table.order - growth[-1] < frontier.size:
             cand = table.keys[levels.take(table.keys) == _SENT]
             start = 0
             while cand.size and start < tables.shape[-1]:
@@ -328,12 +309,9 @@ def _frontier_levels(
             for start in range(0, frontier.size, block):
                 images = _gather(tables, frontier[start : start + block], q, n)
                 levels[images[levels.take(images) == _SENT]] = level
-        # a ball search reads the new level off the group's keys, a tenth of
-        # the key space on SL(3,Z/6); a subgroup enumeration has no keys yet
-        if table.order:
-            frontier = table.keys[levels.take(table.keys) == level]
-        else:
-            frontier = np.flatnonzero(levels == level)
+        # the new level is read off the group's keys, a tenth of the key
+        # space on SL(3,Z/6)
+        frontier = table.keys[levels.take(table.keys) == level]
         if frontier.size:
             growth.append(growth[-1] + int(frontier.size))
     return levels, growth
@@ -569,11 +547,6 @@ def class_balls(table: FiniteGroupTable) -> tuple[list[ClassBall], partial]:
             rep = table.matrix_at(table.index_of_key(cls.rep_key))
             balls.append(ClassBall(cls, rep, unit, searches[unit][0] is not None, *searches[unit]))
     return balls, search
-
-
-def is_simple(table: FiniteGroupTable) -> bool:
-    """True iff every nontrivial element normally generates the group."""
-    return table.order > 1 and all(c.normally_generates for c in class_balls(table)[0])
 
 
 @dataclass

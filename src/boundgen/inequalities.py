@@ -9,6 +9,7 @@ so the suite doubles as an end-to-end consistency test of the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .ballsearch import (
     delta_exhaustive,
     enumerate_group,
 )
+from .errors import RingMismatch
 from .matrices import MatrixSL, elementary, embed_block, reduce_ring
 from .rings import RingSpec
 from .witness import class_size_lower
@@ -92,17 +94,29 @@ def check_extension_bound(
     )
 
 
-def product_table(factor_gens: list[list[MatrixSL]], ring: RingSpec) -> FiniteGroupTable:
-    """Direct product of matrix groups as block-diagonal matrices."""
-    dims = [g[0].n for g in factor_gens]
-    n = sum(dims)
-    gens: list[MatrixSL] = []
-    offset = 0
-    for gen_list, dim in zip(factor_gens, dims):
-        coords = range(offset + 1, offset + dim + 1)
-        gens += [embed_block(g, coords, n) for g in gen_list]
-        offset += dim
-    return enumerate_group(ring, n, gens=gens)
+def product_table(factors: list[FiniteGroupTable]) -> FiniteGroupTable:
+    """Direct product of SL factors over one ring as block-diagonal matrices.
+
+    Every combination of the factors' elements is placed on the diagonal,
+    factor i in block i.  table.gens are each factor's gens embedded in its
+    block, in factor order.
+    """
+    ring = factors[0].ring
+    if any(t.ring != ring or t.scalars != [1] for t in factors):
+        raise RingMismatch("a product table needs SL factors over one ring")
+    n = sum(t.n for t in factors)
+    table = FiniteGroupTable(ring, n, np.empty(0, dtype=np.int64), [], [1])
+    mats = np.zeros((prod(t.order for t in factors), n, n), dtype=np.int64)
+    stride, offset = len(mats), 0
+    for t in factors:
+        coords = range(offset + 1, offset + t.n + 1)
+        table.gens += [embed_block(MatrixSL(t.n, ring, g), coords, n).entries for g in t.gens]
+        stride //= t.order  # element e takes element e // stride % order of each factor
+        pick = t.decode(t.keys)[np.arange(len(mats)) // stride % t.order]
+        mats[:, offset : offset + t.n, offset : offset + t.n] = pick
+        offset += t.n
+    table.keys = np.sort(table.canonical_keys(mats))
+    return table
 
 
 def check_product_bound(dp: DeltaReport, deltas: list[int]) -> CheckRow:
@@ -128,15 +142,11 @@ def _reduction_balls(
     return ball_bfs(table_g, s), ball_bfs(table_h, [reduce_ring(m, table_h.ring) for m in s])
 
 
-def check_ball_image(
-    table_g: FiniteGroupTable, table_h: FiniteGroupTable, s: list[MatrixSL]
-) -> CheckRow:
-    """Image of B_S(d) under reduction equals the ball of the reduced set, per level."""
-    return _ball_image_row(*_reduction_balls(table_g, table_h, s))
+def check_ball_image(rpt_g: BallReport, rpt_h: BallReport) -> CheckRow:
+    """Image of B_S(d) under reduction equals the ball of the reduced set, per level.
 
-
-def _ball_image_row(rpt_g: BallReport, rpt_h: BallReport) -> CheckRow:
-    """check_ball_image for the searches of s in G and of psi(s) in H."""
+    rpt_g is the search for s in G and rpt_h the one for psi(s) in H.
+    """
     table_g, table_h = rpt_g.table, rpt_h.table
     dmax = max(len(rpt_g.growth), len(rpt_h.growth)) - 1  # the last level of either ball
     holds = True
@@ -323,16 +333,15 @@ def run_small_suite() -> list[CheckRow]:
     psl23 = enumerate_group(f3, 2, psl=True)
     rows.append(check_extension_bound(g23, psl23, k=1))
 
-    s3_gens = [elementary(1, 2, 1, 2, f2), elementary(2, 1, 1, 2, f2)]
-    prod = product_table([s3_gens, s3_gens], f2)
     s3 = enumerate_group(f2, 2)
+    s3_squared = product_table([s3, s3])
     d1 = delta_exhaustive(s3, 1)
-    d2_prod = delta_exhaustive(prod, 2)
+    d2_prod = delta_exhaustive(s3_squared, 2)
     rows.append(check_product_bound(d2_prod, [d1.value, d1.value]))
-    rows.extend(check_splitting_bound(prod, [2, 2], d2_prod))
+    rows.extend(check_splitting_bound(s3_squared, [2, 2], d2_prod))
 
     reduction = _reduction_balls(g24, g22, [elementary(1, 2, 1, 2, z4)])
-    rows.append(_ball_image_row(*reduction))
+    rows.append(check_ball_image(*reduction))
     rows.append(check_lipschitz(*reduction))
 
     nu = ball_bfs(s3, [elementary(1, 2, 1, 2, f2)])

@@ -75,10 +75,6 @@ class ConjWord:
     def empty() -> "ConjWord":
         return ConjWord(())
 
-    @staticmethod
-    def single(gen: int, exp: int, conj: MatrixSL) -> "ConjWord":
-        return ConjWord((Letter(gen, exp, conj),))
-
 
 def _replay(w: ConjWord, s: GenSet) -> MatrixSL:
     """Exact product of the letters; the empty word evaluates to the identity.

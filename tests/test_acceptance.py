@@ -11,6 +11,7 @@ from boundgen.checks import run_double_commutator_suite, run_steinberg_suite
 from boundgen.factorize import factor_semilocal
 from boundgen.ideals import decide_normal_generation, pi_support
 from boundgen.inequalities import (
+    _reduction_balls,
     check_ball_image,
     check_extension_bound,
     check_product_bound,
@@ -174,15 +175,14 @@ def test_criterion_8_inequality_suite():
 
     from boundgen.inequalities import product_table
 
-    s3_gens = [elementary(1, 2, 1, 2, f2), elementary(2, 1, 1, 2, f2)]
-    prod = product_table([s3_gens, s3_gens], f2)
     s3 = enumerate_group(f2, 2)
+    prod = product_table([s3, s3])
     d1 = delta_exhaustive(s3, 1)
     row_prod = check_product_bound(delta_exhaustive(prod, 2), [d1.value, d1.value])
     rows.append(row_prod)
 
     rows.append(check_extension_bound(enumerate_group(f3, 2), enumerate_group(f3, 2, psl=True)))
-    rows.append(check_ball_image(g, h, [elementary(1, 2, 1, 2, z4)]))
+    rows.append(check_ball_image(*_reduction_balls(g, h, [elementary(1, 2, 1, 2, z4)])))
 
     ok = all(r.holds for r in rows) and row_prod.lhs >= 4
     elapsed = time.monotonic() - t0

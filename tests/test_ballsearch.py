@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 import boundgen
 from boundgen import ballsearch
 from boundgen.ballsearch import (
+    FiniteGroupTable,
     _delta_levels,
     backtrack_word,
     ball_bfs,
@@ -18,7 +20,6 @@ from boundgen.ballsearch import (
     conjugacy_classes,
     delta_exhaustive,
     enumerate_group,
-    is_simple,
     sl_order_mod,
 )
 from boundgen.cli import run
@@ -78,24 +79,36 @@ SIEVED = (
 
 @pytest.mark.parametrize("n, l, psl", SIEVED)
 def test_sieve_matches_orbit_closure(n, l, psl, monkeypatch):
-    # the determinant sieve of the full group against the push BFS that
-    # gens= runs from the same E_ij(+-1); with 64-cell blocks the sieve runs
-    # in many blocks, down to one rest value each
+    # the determinant sieve against a brute-force filter of the whole key
+    # space: decode every key, keep det = 1 mod l and, for psl, the least key
+    # of each scalar coset; with 64-cell blocks the sieve runs in many
+    # blocks, down to one rest value each
     ring = RingSpec.residue(l)
-    gens = [
-        elementary(i, j, v, n, ring)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if i != j
-        for v in (1, l - 1)
-    ]
-    closure = enumerate_group(ring, n, psl, gens=gens)
+    scalars = [lam for lam in range(1, l) if gcd(lam, l) == 1 and pow(lam, n, l) == 1]
+    scalars = scalars if psl else [1]
+    powers = l ** np.arange(n * n)
+    brute = []
+    for start in range(0, l ** (n * n), 2 ** 16):
+        keys = np.arange(start, min(start + 2 ** 16, l ** (n * n)))
+        flat = keys[:, None] // powers % l
+        det = np.rint(np.linalg.det(flat.reshape(-1, n, n))).astype(np.int64)  # exact: |det| < 2^10
+        keys, flat = keys[det % l == 1], flat[det % l == 1]
+        brute.append(keys[keys == np.min([flat * lam % l @ powers for lam in scalars], axis=0)])
+    brute = np.concatenate(brute)
     for cells in (ballsearch._GATHER_CELLS, 64):
         monkeypatch.setattr(ballsearch, "_GATHER_CELLS", cells)
         table = enumerate_group(ring, n, psl)
-        assert table.keys.dtype == closure.keys.dtype
-        assert table.keys.tolist() == closure.keys.tolist()
-        assert (table.gens, table.scalars) == (closure.gens, closure.scalars)
+        assert table.keys.dtype == np.int64
+        assert table.keys.tolist() == brute.tolist()
+        assert table.scalars == scalars
+    # E_ij(1), E_ij(-1) per position, once each over Z/2
+    assert table.gens == [
+        elementary(i, j, v, n, ring).entries
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if i != j
+        for v in dict.fromkeys((1, l - 1))
+    ]
     if (l, psl) == (8, True):
         assert table.scalars == [1, 3, 5, 7]
 
@@ -202,8 +215,8 @@ def test_conjugacy_classes(s3, sl32):
 
 
 def test_is_simple(s3, sl32):
-    assert not is_simple(s3)
-    assert is_simple(sl32)
+    assert not delta_exhaustive(s3, 2).simple_shortcut
+    assert delta_exhaustive(sl32, 2).simple_shortcut
 
 
 def test_delta_s3(s3):
@@ -232,8 +245,7 @@ def test_normal_generation_number(sl24, s3):
     assert delta_exhaustive(s3, 1).attained
     # no single class normally generates S3 x S3; two transpositions, one
     # per factor, do
-    s3_gens = [elementary(1, 2, 1, 2, F2), elementary(2, 1, 1, 2, F2)]
-    s3_squared = product_table([s3_gens, s3_gens], F2)
+    s3_squared = product_table([s3, s3])
     one = delta_exhaustive(s3_squared, 1)
     assert not one.attained
     rpt = delta_exhaustive(s3_squared, 2)
@@ -298,8 +310,9 @@ def test_delta_sl3_within_the_residue_bound(l):
 
 @pytest.mark.parametrize("k", [1, 2, None])
 def test_delta_trivial_group_unattained(k):
-    table = enumerate_group(F2, 2, gens=[identity(2, F2)])
-    assert table.order == 1
+    one = identity(2, F2).entries
+    table = FiniteGroupTable(F2, 2, np.array([9]), [one], [1])  # 9 = 1 + 1 * 2^3, the identity
+    assert table.order == 1 and table.identity_key == 9
     rpt = delta_exhaustive(table, k)
     assert not rpt.attained and rpt.value is None and rpt.witness == []
 
@@ -342,11 +355,10 @@ def test_class_closure_membership_error(s3):
         ball_bfs(s3, [elementary(1, 2, 1, 2, z6)])
 
 
-def test_ball_non_member_raises_key_error():
-    # a transposition is not in the subgroup generated by a 3-cycle
-    table = enumerate_group(F2, 2, gens=[elementary(1, 2, 1, 2, F2) * elementary(2, 1, 1, 2, F2)])
+def test_ball_non_member_raises_key_error(s3):
+    # E_13(1) is not block diagonal, so not in S3 x S3 in SL(4,F2)
     with pytest.raises(KeyError):
-        ball_bfs(table, [elementary(1, 2, 1, 2, F2)])
+        ball_bfs(product_table([s3, s3]), [elementary(1, 3, 1, 4, F2)])
 
 
 @pytest.mark.parametrize(
@@ -379,13 +391,6 @@ def test_conjugacy_classes_sl2_f59():
     assert len(classes) == 63
     assert Counter(c.size for c in classes) == {1: 2, 1740: 4, 3422: 29, 3540: 28}
     assert sum(c.size for c in classes) == table.order == 205320
-
-
-def test_custom_generator_subgroup():
-    # block scalars only: the subgroup generated by a 3-cycle
-    m = elementary(1, 2, 1, 2, F2) * elementary(2, 1, 1, 2, F2)
-    table = enumerate_group(F2, 2, gens=[m])
-    assert table.order == 3
 
 
 def test_psl_coincides_with_sl_for_trivial_scalars(sl32):

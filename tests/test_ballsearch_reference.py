@@ -1,9 +1,10 @@
 """The ball-search engine against a slow pure-Python reference.
 
 The reference below finds group elements by brute force over all matrices
-(or by closure under the generators), partitions classes by conjugating
-with every group element and runs a set-based BFS, all in plain-integer
-tuple arithmetic written for this file; no ballsearch helper is used.  Keys
+(or by closure under the generators, against which the engine's product
+table S3 x S3 is checked), partitions classes by conjugating with every
+group element and runs a set-based BFS, all in plain-integer tuple
+arithmetic written for this file; no ballsearch helper is used.  Keys
 follow the engine's documented format, entry[idx] * q^idx in row-major
 order, so keys, growth, norms, classes and the class searches' reach can be
 compared exactly.  Its Delta_k tries every set of non-identity elements,
@@ -13,16 +14,19 @@ where the engine searches sets of class units.
 from itertools import combinations, product
 from math import gcd
 
+import numpy as np
 import pytest
 
 from boundgen import ballsearch
 from boundgen.ballsearch import (
+    FiniteGroupTable,
     ball_bfs,
     class_balls,
     conjugacy_classes,
     delta_exhaustive,
     enumerate_group,
 )
+from boundgen.inequalities import product_table
 from boundgen.matrices import MatrixSL
 from boundgen.rings import RingSpec
 
@@ -180,28 +184,37 @@ S3_SQUARED = [block_diagonal(g, ONE_2) for g in S3_GENS] + [
     block_diagonal(ONE_2, g) for g in S3_GENS
 ]
 
+
+def three_cycle_table(ref):
+    """The reference's own closure, with its generators closed under inverses."""
+    gens = [THREE_CYCLE, ref.inverse[THREE_CYCLE]]
+    return FiniteGroupTable(F2, 2, np.array(ref.keys(), dtype=np.int64), gens, [1])
+
+
+# (ring, n, psl, generators of the reference's closure, engine table from
+# the reference); None for the whole of SL(n) or PSL(n) on both sides
 GROUPS = {
-    "SL(2,F2)": (F2, 2, False, None),
-    "SL(2,F3)": (F3, 2, False, None),
-    "PSL(2,F3)": (F3, 2, True, None),
-    "SL(2,Z/4)": (Z4, 2, False, None),
-    "SL(3,F2)": (F2, 3, False, None),
-    "3-cycle subgroup": (F2, 2, False, [THREE_CYCLE]),
-    "SL(2,Z/6)": (Z6, 2, False, None),
-    "SL(2,F5)": (F5, 2, False, None),
-    "PSL(2,F5)": (F5, 2, True, None),
-    "SL(2,F7)": (F7, 2, False, None),
-    "S3 x S3 in SL(4,F2)": (F2, 4, False, S3_SQUARED),
+    "SL(2,F2)": (F2, 2, False, None, None),
+    "SL(2,F3)": (F3, 2, False, None, None),
+    "PSL(2,F3)": (F3, 2, True, None, None),
+    "SL(2,Z/4)": (Z4, 2, False, None, None),
+    "SL(3,F2)": (F2, 3, False, None, None),
+    "3-cycle subgroup": (F2, 2, False, [THREE_CYCLE], three_cycle_table),
+    "SL(2,Z/6)": (Z6, 2, False, None, None),
+    "SL(2,F5)": (F5, 2, False, None, None),
+    "PSL(2,F5)": (F5, 2, True, None, None),
+    "SL(2,F7)": (F7, 2, False, None, None),
+    "S3 x S3 in SL(4,F2)": (
+        F2, 4, False, S3_SQUARED, lambda ref: product_table([enumerate_group(F2, 2)] * 2)
+    ),
 }
 
 
 @pytest.fixture(scope="module", params=list(GROUPS))
 def group(request):
-    ring, n, psl, gens = GROUPS[request.param]
-    table = enumerate_group(
-        ring, n, psl=psl, gens=None if gens is None else [MatrixSL(n, ring, g) for g in gens]
-    )
-    return table, Reference(ring.modulus, n, psl, gens)
+    ring, n, psl, gens, build = GROUPS[request.param]
+    ref = Reference(ring.modulus, n, psl, gens)
+    return (enumerate_group(ring, n, psl) if build is None else build(ref)), ref
 
 
 def test_enumeration_matches_reference(group):

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import boundgen
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -36,8 +38,8 @@ def test_no_unused_imports():
     assert [hit for path in files for hit in unused_imports(path)] == []
 
 
-def dead_helpers(paths: list[Path]) -> list[str]:
-    """The module-level _private functions that no code in paths reads.
+def unread_functions(paths: list[Path]) -> dict[str, str]:
+    """The module-level functions that no code in paths reads, by name.
 
     A reference inside the function's own definition (recursion) does not
     count; a call, an attribute read or a name passed along anywhere else
@@ -48,16 +50,26 @@ def dead_helpers(paths: list[Path]) -> list[str]:
         tree = ast.parse(path.read_text(), str(path))
         for top in tree.body:
             own = top.name if isinstance(top, ast.FunctionDef) else None
-            if own and own.startswith("_") and not own.startswith("__"):
+            if own and not own.startswith("__"):
                 defined[own] = f"{path.relative_to(ROOT)}:{top.lineno} {own}"
             for node in ast.walk(top):
                 name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
                 if name is not None and name != own:
                     used.add(name)
-    return sorted(hit for name, hit in defined.items() if name not in used)
+    return {name: hit for name, hit in defined.items() if name not in used}
 
 
 def test_no_dead_private_helpers():
     files = sorted((ROOT / "src").rglob("*.py"))
     assert files
-    assert dead_helpers(files) == []
+    assert sorted(hit for name, hit in unread_functions(files).items() if name.startswith("_")) == []
+
+
+def test_public_functions_are_read_or_exported():
+    # a public function that no code in src/ reads must be package API,
+    # listed in boundgen.__all__, not a name kept alive by its own tests
+    files = sorted((ROOT / "src").rglob("*.py"))
+    unread = unread_functions(files)
+    assert sorted(
+        hit for name, hit in unread.items() if not name.startswith("_") and name not in boundgen.__all__
+    ) == []

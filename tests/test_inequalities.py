@@ -1,6 +1,16 @@
+import pytest
+
 from boundgen import ballsearch
-from boundgen.ballsearch import FiniteGroupTable, ball_bfs, delta_exhaustive, enumerate_group
+from boundgen.ballsearch import (
+    FiniteGroupTable,
+    ball_bfs,
+    conjugacy_classes,
+    delta_exhaustive,
+    enumerate_group,
+)
+from boundgen.errors import BudgetExceeded, RingMismatch
 from boundgen.inequalities import (
+    _reduction_balls,
     check_ball_image,
     check_ball_multiplicativity,
     check_extension_bound,
@@ -18,15 +28,41 @@ F3 = RingSpec.prime_field(3)
 
 
 def test_product_table_order():
-    gens = [elementary(1, 2, 1, 2, F2), elementary(2, 1, 1, 2, F2)]
-    prod = product_table([gens, gens], F2)
+    # the factors' gens, E_12(1) and E_21(1), embedded block by block
+    prod = product_table([enumerate_group(F2, 2)] * 2)
     assert prod.order == 36
+    assert prod.gens == [elementary(i, j, 1, 4, F2).entries for i, j in ((1, 2), (2, 1), (3, 4), (4, 3))]
+
+
+def test_product_table_refusals():
+    # one ring and SL factors only; a key space over the dense limit is
+    # refused before any element is placed (SL(3,F2)^2: 2^36 keys)
+    s3, sl32 = enumerate_group(F2, 2), enumerate_group(F2, 3)
+    for factors in ([s3, enumerate_group(F3, 2)], [s3, enumerate_group(F3, 2, psl=True)]):
+        with pytest.raises(RingMismatch):
+            product_table(factors)
+    with pytest.raises(BudgetExceeded, match="key space 2\\^36"):
+        product_table([sl32, sl32])
+
+
+def test_product_of_unequal_blocks():
+    # S3 x SL(3,F2) in SL(5,F2): each class is a product of factor classes,
+    # and the product bound holds with equality, Delta_2 = 5 = 2 + 3
+    s3, sl32 = enumerate_group(F2, 2), enumerate_group(F2, 3)
+    prod = product_table([s3, sl32])
+    assert (prod.order, len(prod.gens)) == (1008, 8)
+    sizes = sorted(c.size for c in conjugacy_classes(prod))
+    assert len(sizes) == 18
+    assert sizes == sorted(a.size * b.size for a in conjugacy_classes(s3) for b in conjugacy_classes(sl32))
+    row = check_product_bound(
+        delta_exhaustive(prod, 2), [delta_exhaustive(s3, 1).value, delta_exhaustive(sl32, 1).value]
+    )
+    assert (row.lhs, row.rhs, row.holds) == (5, 5, True)
 
 
 def test_product_bound_exact():
-    gens = [elementary(1, 2, 1, 2, F2), elementary(2, 1, 1, 2, F2)]
-    prod = product_table([gens, gens], F2)
     base = enumerate_group(F2, 2)
+    prod = product_table([base, base])
     d1 = delta_exhaustive(base, 1)
     row = check_product_bound(delta_exhaustive(prod, 2), [d1.value, d1.value])
     assert row.holds
@@ -42,9 +78,8 @@ def test_quotient_bound():
 def test_quotient_bound_walks_levels_once(monkeypatch):
     # S3 x S3 needs two class units (n0 = 2): Delta_2 and Delta_3 of G come
     # from one walk of its maximal normal subgroups, not one walk each
-    gens = [elementary(1, 2, 1, 2, F2), elementary(2, 1, 1, 2, F2)]
-    g = product_table([gens, gens], F2)
     h = enumerate_group(F2, 2)
+    g = product_table([h, h])
     searches = []
     class_search = ballsearch._class_search
 
@@ -69,7 +104,7 @@ def test_extension_bound():
 def test_ball_image():
     g = enumerate_group(RingSpec.residue(4), 2)
     h = enumerate_group(RingSpec.residue(2), 2)
-    row = check_ball_image(g, h, [elementary(1, 2, 1, 2, RingSpec.residue(4))])
+    row = check_ball_image(*_reduction_balls(g, h, [elementary(1, 2, 1, 2, g.ring)]))
     assert row.holds
 
 
@@ -78,7 +113,7 @@ def test_ball_image_of_a_non_generating_set_stops_at_its_last_level():
     # growth [1, 4, 7, 8], so levels 0..3 are compared, not one per uint16 value
     g = enumerate_group(RingSpec.residue(4), 2)
     h = enumerate_group(RingSpec.residue(2), 2)
-    row = check_ball_image(g, h, [elementary(1, 2, 2, 2, RingSpec.residue(4))])
+    row = check_ball_image(*_reduction_balls(g, h, [elementary(1, 2, 2, 2, g.ring)]))
     assert row.holds
     assert row.context["levels"] == 4
 
@@ -104,8 +139,8 @@ def test_ball_multiplicativity_of_a_non_generating_set(monkeypatch):
 
 
 def test_splitting():
-    gens = [elementary(1, 2, 1, 2, F2), elementary(2, 1, 1, 2, F2)]
-    prod = product_table([gens, gens], F2)
+    s3 = enumerate_group(F2, 2)
+    prod = product_table([s3, s3])
     rows = check_splitting_bound(prod, [2, 2], delta_exhaustive(prod, 2))
     assert all(r.holds for r in rows)
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from boundgen.ballsearch import ball_bfs, enumerate_group
 from boundgen.inequalities import check_norm_axioms, product_table
-from boundgen.matrices import elementary
 from boundgen.rings import RingSpec
 
 F2 = RingSpec.prime_field(2)
@@ -22,8 +21,7 @@ F2 = RingSpec.prime_field(2)
 @lru_cache(maxsize=None)
 def table(name):
     if name == "S3xS3":
-        s3_gens = [elementary(1, 2, 1, 2, F2), elementary(2, 1, 1, 2, F2)]
-        return product_table([s3_gens, s3_gens], F2)
+        return product_table([enumerate_group(F2, 2)] * 2)
     ring, psl = {
         "SL(2,F3)": (RingSpec.prime_field(3), False),
         "SL(2,Z/4)": (RingSpec.residue(4), False),

@@ -42,7 +42,7 @@ def test_empty_word_is_identity():
 
 def test_single_letter():
     gens, _ = small_genset()
-    w = ConjWord.single(0, 1, identity(3, Z))
+    w = ConjWord((Letter(0, 1, identity(3, Z)),))
     assert eval_word(w, gens) == gens[0]
 
 
