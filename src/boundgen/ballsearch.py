@@ -2,47 +2,30 @@
 matrix groups over Z/l or F_p.
 
 Group elements are packed into positional integer keys (entry[idx] * q^idx,
-row-major; FiniteGroupTable owns the format).  Every search here relies on
-the key being row-major base q: each row of a matrix is then one base-q^n
-digit of its key, and right multiplication by a letter maps each row on its
-own.  So per search one table per (scalar, letter, row) maps a row digit to
-that row's share of the image key, and the key of an image, scalar
-canonicalization included, is a minimum over scalars of n table lookups.
-
-All of SL(n, Z/l) is enumerated by a determinant sieve over the same row
-digits: det M is row 0 times the cofactors of the other rows.  The ball of
-a set S (letters: its class alphabet) is a level-synchronous BFS over a
-dense uint16 level array.  A level is a push or a pull (direction-optimizing
-BFS).  A push maps every frontier element by every letter.  Once fewer
-elements are unvisited than the frontier holds, a pull tests each unvisited
-element M instead and stops at its first letter a with M*a on the previous
-level, which is exact because every ball alphabet is closed under inverses.
-Levels never depend on visit order or direction;
-tests/test_ballsearch_reference.py checks keys, growth, norms, classes and
-class searches against a slow pure-Python BFS on small groups.
-
-The edge alphabet of a ball is the full conjugacy-class closure of S and
-its inverses.  It comes from the same conjugation walk under the group's own
-generators that partitions the group into classes, one batched numpy
-product per walk level, so word norms match the definition exactly.
+row-major; FiniteGroupTable owns the format), so each row of a matrix is one
+base-q^n digit of its key.  All of SL(n, Z/l) is read off those digits by a
+determinant sieve (_sieve_keys), and right multiplication by a letter maps
+each row on its own, so one table per (scalar, letter, row) gives the key of
+any image (_row_tables, _gather).  The ball of a set S is a level-synchronous
+push/pull BFS (_frontier_levels) over its alphabet, the full conjugacy-class
+closure of S and S^-1, which comes from the same conjugation walk
+(_conjugation_walk) that partitions the group into classes.
 
 Delta_k ranges over sets of class units (a nontrivial class with the class
-of its inverses).  A set's norm is a class function, so its search runs on
-classes: if g in C is on level L, g*a in C' and rep(C) = h*g*h^-1, then
-rep(C)*(h*a*h^-1) lies in C' and h*a*h^-1 is a letter.  So level L+1 is the
-unvisited classes that the reps of level L reach in one letter, read from
-one C^3-byte class product table per group (C classes).  On SL(3,Z/6)
-(943,488 elements, 72 classes) Delta_1 = 3 and Delta_2 = 6 take about 4 s
-on one Intel Xeon core, at a peak RSS of about 150 MB.  A unit set normally
-generates iff no maximal normal subgroup contains it, so only the minimal
-hitting sets of the maximal subgroups' complements are searched; the
-maximal subgroups come from joins of the single-class closures.
+of its inverses), and a set's norm is a class function, so its searches run
+on one ClassTable per group: if g in C is on level L, g*a in C' and
+rep(C) = h*g*h^-1, then rep(C)*(h*a*h^-1) lies in C' and h*a*h^-1 is a
+letter.  So level L+1 is the unvisited classes that the reps of level L
+reach in one letter, read from the class product table.  Only the minimal
+hitting sets of the maximal normal subgroups' complements are searched.
+tests/test_ballsearch_reference.py checks keys, growth, norms, the class
+table and the class searches against a slow pure-Python reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial, reduce
+from functools import cached_property, reduce
 from operator import or_
 
 import numpy as np
@@ -139,6 +122,12 @@ class FiniteGroupTable:
     @property
     def identity_key(self) -> int:
         return self.key_of(identity(self.n, self.ring).entries)
+
+    @cached_property
+    def conjugators(self) -> np.ndarray:
+        """gens and their inverses, shape (2, gens, 1, n, n), for every conjugation walk."""
+        invs = [MatrixSL(self.n, self.ring, g).inv().entries for g in self.gens]
+        return np.array([self.gens, invs], dtype=np.int64)[:, :, None]
 
 
 def enumerate_group(ring: RingSpec, n: int, psl: bool = False) -> FiniteGroupTable:
@@ -265,11 +254,8 @@ def _frontier_levels(
     Returns the dense level array over the key space (_SENT where no word
     in the letters reaches) and the cumulative element count per level.
 
-    Row-table kernel: keys are row-major base q, so row r of a matrix is
-    the base-q^n digit r of its key, and row r of M*a depends on row r of
-    M alone.  With the _row_tables T, the key of canonical(M*a) is
-    min over lam of sum_r T[lam, r][digit_r(M), a]: n gathers per scalar
-    (_gather) for a block of keys against a run of letters at once.
+    Each step gathers a block of keys against a run of letters at once
+    through the _row_tables (_gather).
 
     A level pushes or pulls (direction-optimizing BFS: Beamer, Asanovic and
     Patterson, SC 2012).  A push gathers each frontier element against
@@ -338,7 +324,7 @@ class BallReport:
 
     norms is aligned with table.keys; 0xFFFF marks elements outside the
     normal closure (norm infinity).  diameter is None when S does not
-    normally generate.
+    normally generate.  A matrix outside the group raises KeyError.
     """
 
     table: FiniteGroupTable
@@ -346,7 +332,6 @@ class BallReport:
     norms: np.ndarray
     growth: list[int]
     alphabet: list[AlphabetEntry]
-    _dense: np.ndarray = field(repr=False)
 
     @property
     def reached(self) -> int:
@@ -361,7 +346,7 @@ class BallReport:
         return int(self.norms.max()) if self.normally_generates else None
 
     def norm_of(self, m: MatrixSL) -> int | None:
-        v = self._dense[self.table.key_of(m.entries)]
+        v = self.norms[self.table.index_of_key(self.table.key_of(m.entries))]
         return None if v == _SENT else int(v)
 
 
@@ -385,7 +370,7 @@ def class_closure(table: FiniteGroupTable, s: list[MatrixSL]) -> list[AlphabetEn
             key = table.key_of(mat.entries if exp == 1 else mat.inv().entries)
             if seen[key]:
                 continue
-            keys, parent, via = _conjugation_walk(table, key, seen)
+            keys, parent, via = _conjugation_walk(table, key, seen, True)
             conj = [ident]
             for p, g in zip(parent[1:].tolist(), via[1:].tolist()):
                 conj.append(_mul_entries(table.gens[g], conj[p], q))
@@ -394,29 +379,27 @@ def class_closure(table: FiniteGroupTable, s: list[MatrixSL]) -> list[AlphabetEn
     return [entries[k] for k in sorted(entries)]
 
 
-def _conjugation_walk(table: FiniteGroupTable, start_key: int, seen: np.ndarray):
+def _conjugation_walk(table: FiniteGroupTable, start_key: int, marks: np.ndarray, mark):
     """The class of start_key under x -> g x g^{-1} for g in table.gens.
 
-    Level-synchronous BFS marking fresh canonical keys in seen, the caller's
-    bool array over the key space.  Returns the class's keys in visit order,
-    the visit position of each key's parent and the index in table.gens of
-    the generator that conjugated the parent into it (-1 for start_key).
+    Level-synchronous BFS giving fresh keys mark in marks, the caller's array
+    over the key space: a walk never leaves its class, so a key is fresh iff
+    it does not hold mark yet.  Returns the class's keys in visit order, the
+    visit position of each key's parent and the index in table.gens of the
+    generator that conjugated the parent into it (-1 for start_key).
     """
     q, n = table.ring.modulus, table.n
-    gens = np.array(table.gens, dtype=np.int64)[:, None]
-    invs = np.array(
-        [MatrixSL(n, table.ring, g).inv().entries for g in table.gens], dtype=np.int64
-    )[:, None]
-    seen[start_key] = True
+    gens, invs = table.conjugators
+    marks[start_key] = mark
     frontier = np.array([start_key], dtype=np.int64)
     keys, parent, via = [frontier], [np.array([-1])], [np.array([-1])]
     start = 0  # visit position of the frontier's first key
     while frontier.size:
         images = gens @ table.decode(frontier) % q @ invs % q
         images = table.canonical_keys(images.reshape(-1, n, n))  # generator-major
-        fresh = np.flatnonzero(~seen[images])
+        fresh = np.flatnonzero(marks[images] != mark)
         new, first = np.unique(images[fresh], return_index=True)
-        seen[new] = True
+        marks[new] = mark
         keys.append(new)
         parent.append(start + fresh[first] % frontier.size)
         via.append(fresh[first] // frontier.size)
@@ -429,7 +412,7 @@ def ball_bfs(table: FiniteGroupTable, s: list[MatrixSL]) -> BallReport:
     """Exact word norms for the generating set s."""
     alphabet = class_closure(table, s)
     dense, growth = _frontier_levels(table, [e.mat for e in alphabet])
-    return BallReport(table, s, dense[table.keys], growth, alphabet, dense)
+    return BallReport(table, s, dense[table.keys], growth, alphabet)
 
 
 def backtrack_word(report: BallReport, target: MatrixSL) -> ConjWord:
@@ -443,14 +426,14 @@ def backtrack_word(report: BallReport, target: MatrixSL) -> ConjWord:
     table = report.table
     q = table.ring.modulus
     cur = target.entries
-    d = report._dense[table.key_of(cur)]
+    d = report.norms[table.index_of_key(table.key_of(cur))]
     if d == _SENT:
         raise KeyError("target is outside the normal closure")
     letters: list[Letter] = []
     for level in range(int(d), 0, -1):
         for entry in report.alphabet:
             prev = _mul_entries(cur, entry.mat, q)
-            if report._dense[table.key_of(prev)] == level - 1:
+            if report.norms[table.index_of_key(table.key_of(prev))] == level - 1:
                 letters.append(
                     Letter(entry.gen, -entry.exp, MatrixSL(table.n, table.ring, entry.conj))
                 )
@@ -463,90 +446,99 @@ def backtrack_word(report: BallReport, target: MatrixSL) -> ConjWord:
 
 
 # ---------------------------------------------------------------------------
-# conjugacy classes and exhaustive delta
+# class tables and exhaustive delta
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class ConjClass:
-    rep_key: int
-    keys: np.ndarray  # sorted int64
+class ClassTable:
+    """The conjugacy classes of a group table and their class product table.
 
-    @property
-    def size(self) -> int:
-        return int(self.keys.size)
-
-
-def conjugacy_classes(table: FiniteGroupTable) -> list[ConjClass]:
-    """Partition of the group into conjugacy classes, in order of least key.
-
-    One conjugation walk from each key no earlier walk has reached.
+    index is the class of every key over the key space (_SENT off the group),
+    so class i's members are table.keys[index[table.keys] == i]; reps are the
+    classes' least keys, ascending; hits[i, j, k]: some element of class j
+    times rep(class i) lies in class k.  A search multiplies no elements.
     """
-    seen = np.zeros(table.key_space, dtype=bool)
-    out: list[ConjClass] = []
-    for key in table.keys.tolist():
-        if not seen[key]:
-            members = _conjugation_walk(table, key, seen)[0]
-            out.append(ConjClass(key, np.sort(members)))
-    return out
+
+    table: FiniteGroupTable
+    index: np.ndarray
+    reps: np.ndarray
+    hits: np.ndarray
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        return np.bincount(self.index[self.table.keys], minlength=len(self.reps))
+
+    @cached_property
+    def origin(self) -> int:
+        """The identity's class."""
+        return int(self.index[self.table.identity_key])
+
+    def unit(self, i: int) -> tuple[int, ...]:
+        """Class i and the class j of its inverses, where hits[i, j] meets the identity's class."""
+        return tuple(sorted({i, int(self.hits[i, :, self.origin].argmax())}))
+
+    def search(self, units) -> tuple[int | None, int]:
+        """The class search over the letters of units from the identity's
+        class: its diameter, None if they do not normally generate, and the
+        bitmask of the classes it reaches."""
+        step = self.hits[:, [i for unit in units for i in unit]].any(axis=1)  # class -> class
+        seen = np.arange(len(step)) == self.origin
+        frontier, levels = seen.copy(), 0
+        while frontier.any() and not seen.all():
+            frontier = step[frontier].any(axis=0) & ~seen
+            seen |= frontier
+            levels += 1
+        return (levels if seen.all() else None), sum(1 << int(i) for i in np.flatnonzero(seen))
+
+
+def class_table(table: FiniteGroupTable) -> ClassTable:
+    """The ClassTable of a group: classes in order of least key.
+
+    The partition runs one conjugation walk from each key that no earlier
+    walk has reached and writes the class numbers straight into the index
+    (uint16, so fewer than 0xFFFF classes).  hits is gathered from the
+    smaller class of each pair: for x = h*rep_j*h^-1 in C_j with x*rep_i in
+    C_k, y = h^-1*rep_i*h in C_i gives rep_j*y = h^-1*(x*rep_i)*h in C_k, and
+    y*rep_j ~ rep_j*y, so hits[i, j, k] = hits[j, i, k].  With the reps
+    ranked by class size, largest first, each class's members are gathered
+    against the reps of rank up to its own, and the transpose fills the rest.
+    """
+    index = np.full(table.key_space, _SENT, dtype=np.uint16)
+    members = []  # each class's keys, its least key (where its walk starts) first
+    for keys in np.split(table.keys, range(_GATHER_CELLS, table.order, _GATHER_CELLS)):
+        for key in keys[index[keys] == _SENT].tolist():  # the keys no walk had reached
+            if index[key] == _SENT:
+                members.append(_conjugation_walk(table, key, index, len(members))[0])
+    c = len(members)
+    ct = ClassTable(table, index, np.array([m[0] for m in members]), np.zeros((c,) * 3, dtype=bool))
+    order = np.argsort(-ct.sizes, kind="stable")
+    tables = _row_tables(table, table.decode(ct.reps[order]))
+    for rank, j in enumerate(order.tolist(), 1):
+        block = max(1, _GATHER_CELLS // rank)
+        for keys in np.split(members[j], range(block, ct.sizes[j], block)):
+            images = _gather(tables[..., :rank], keys, table.ring.modulus, table.n)
+            ct.hits.reshape(-1)[(order[:rank] * c + j) * c + index[images]] = True
+    ct.hits |= ct.hits.transpose(1, 0, 2)
+    return ct
 
 
 @dataclass
 class ClassBall:
-    """The ball search from the representative of one nontrivial class.
+    """The class search from the representative of one nontrivial class.
 
     reaches is the class's normal closure as a bitmask over class positions.
     """
 
-    cls: ConjClass
+    size: int  # of the class
     rep: MatrixSL
     unit: tuple[int, ...]  # positions of the class and of the class of rep^{-1}
-    normally_generates: bool
     diameter: int | None
     reaches: int
 
-
-def _class_search(hits: np.ndarray, origin: int, units):
-    """The class search over the letters of units, on the class product table
-    from the identity's class origin: its diameter, None if they do not
-    normally generate, and the bitmask of the classes it reaches."""
-    step = hits[:, [i for unit in units for i in unit]].any(axis=1)  # class -> class in one letter
-    visited = np.arange(len(hits)) == origin
-    frontier, levels = visited.copy(), 0
-    while frontier.any() and not visited.all():
-        frontier = step[frontier].any(axis=0) & ~visited
-        visited |= frontier
-        levels += 1
-    return (levels if visited.all() else None), sum(1 << int(i) for i in np.flatnonzero(visited))
-
-
-def class_balls(table: FiniteGroupTable) -> tuple[list[ClassBall], partial]:
-    """The ball search of [rep] for each nontrivial class rep, in class order,
-    and the class search over any list of units, both read from the class
-    product table hits[i, j, k]: some element of class j times rep(class i)
-    lies in class k.  Class i's unit adds the class j holding rep(class i)^-1,
-    the one with the identity's class in hits[i, j]."""
-    classes = conjugacy_classes(table)
-    c = len(classes)
-    index = np.zeros(table.key_space, dtype=np.min_scalar_type(c))
-    for i, cls in enumerate(classes):
-        index[cls.keys] = i
-    tables = _row_tables(table, table.decode(np.array([cls.rep_key for cls in classes])))
-    hits = np.zeros((c, c, c), dtype=bool)
-    block = max(1, _GATHER_CELLS // c)
-    for keys in np.split(table.keys, range(block, table.order, block)):
-        images = _gather(tables, keys, table.ring.modulus, table.n)
-        hits.reshape(-1)[(np.arange(c) * c + index[keys][:, None]) * c + index[images]] = True
-    origin, balls, searches = int(index[table.identity_key]), [], {}
-    search = partial(_class_search, hits, origin)
-    for i, cls in enumerate(classes):
-        if i != origin:
-            unit = tuple(sorted({i, int(np.flatnonzero(hits[i, :, origin])[0])}))
-            if unit not in searches:
-                searches[unit] = search([unit])
-            rep = table.matrix_at(table.index_of_key(cls.rep_key))
-            balls.append(ClassBall(cls, rep, unit, searches[unit][0] is not None, *searches[unit]))
-    return balls, search
+    @property
+    def normally_generates(self) -> bool:
+        return self.diameter is not None
 
 
 @dataclass
@@ -570,7 +562,7 @@ class DeltaReport:
     classes: list[ClassBall] = field(repr=False)
 
 
-def _minimal_generating_sets(units: list[ClassBall], search):
+def _minimal_generating_sets(units: list[ClassBall], ct: ClassTable):
     """The minimal normally generating unit sets, lexicographically, and the searches run.
 
     Maximal normal subgroups: walk up from the trivial one, joining one unit
@@ -588,7 +580,7 @@ def _minimal_generating_sets(units: list[ClassBall], search):
         for i, u in enumerate(units):
             union = sub | u.reaches
             if union not in join and union != full:
-                join[union] = search([units[j].unit for j in gens[sub] + (i,)])[1]
+                join[union] = ct.search([units[j].unit for j in gens[sub] + (i,)])[1]
                 searches += 1
             closed = join.get(union, full)
             if closed not in gens and closed != full:
@@ -619,19 +611,26 @@ def _delta_levels(table: FiniteGroupTable):
     then in lexicographic unit order, keeping the first maximum.  k = 1
     reads off the class searches alone.
     """
-    classes, search = class_balls(table)
+    ct = class_table(table)
+    searches: dict[tuple[int, ...], ClassBall] = {}  # each unit's search, from its least class
+    classes = []
+    for i, size in enumerate(ct.sizes.tolist()):
+        if i != ct.origin:
+            rep, unit = table.matrix_at(table.index_of_key(int(ct.reps[i]))), ct.unit(i)
+            if unit not in searches:
+                searches[unit] = ClassBall(size, rep, unit, *ct.search([unit]))
+            classes.append(replace(searches[unit], size=size, rep=rep))
     best, witness, checked = None, [], len(classes)
     for c in classes:
         if c.normally_generates and (best is None or c.diameter > best):
             best, witness = c.diameter, [c.rep]
     yield DeltaReport(1, best is not None, best, witness, False, checked, classes)
-    first: dict[tuple[int, ...], ClassBall] = {}
-    units = [first.setdefault(c.unit, c) for c in classes if c.unit not in first]
-    sets, searches = _minimal_generating_sets(units, search)
-    checked += searches
+    units = list(searches.values())
+    sets, runs = _minimal_generating_sets(units, ct)
+    checked += runs
     for size in range(2, max([2, *map(len, sets)]) + 1):
         for cand in (s for s in sets if len(s) == size):
-            diameter = search([units[i].unit for i in cand])[0]
+            diameter = ct.search([units[i].unit for i in cand])[0]
             checked += 1
             if best is None or diameter > best:
                 best, witness = diameter, [units[i].rep for i in cand]

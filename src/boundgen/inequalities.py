@@ -176,11 +176,11 @@ def check_class_size_bound(table: FiniteGroupTable, d1: DeltaReport) -> list[Che
     generic, _symmetric = class_size_lower(table.order, delta)
     return [
         CheckRow(
-            f"class size {c.cls.size}",
-            f"log2({c.cls.size})",
+            f"class size {c.size}",
+            f"log2({c.size})",
             ">",
             f"log2({table.order})/{delta} - 2",
-            generic.holds_for(c.cls.size),
+            generic.holds_for(c.size),
             {"threshold_log2": generic.log2_threshold},
         )
         for c in d1.classes
@@ -238,10 +238,10 @@ def check_lipschitz(rpt_g: BallReport, rpt_h: BallReport) -> CheckRow:
     table_g, table_h = rpt_g.table, rpt_h.table
     c = max(rpt_h.norm_of(m) for m in rpt_h.genset)
     img_keys = _reduce_keys(table_g, table_h, table_g.keys)
-    dense_h = rpt_h._dense
+    norms_h = rpt_h.norms[np.searchsorted(table_h.keys, img_keys)]
     ok = all(
-        norm_g == 0xFFFF or int(dense_h[img_key]) <= c * norm_g
-        for img_key, norm_g in zip(img_keys.tolist(), rpt_g.norms.tolist())
+        norm_g == 0xFFFF or norm_h <= c * norm_g
+        for norm_h, norm_g in zip(norms_h.tolist(), rpt_g.norms.tolist())
     )
     return CheckRow(
         "Lipschitz: nu(psi(g)) <= C ||g||_S",

@@ -152,12 +152,13 @@ def test_criterion_7_exact_delta():
     ok = ok and d1.attained and d1.value <= 24
 
     generic, _ = class_size_lower(168, d1.value)
-    from boundgen.ballsearch import conjugacy_classes
+    from boundgen.ballsearch import class_table
 
-    for cls in conjugacy_classes(sl32):
-        if cls.rep_key == sl32.identity_key:
+    ct = class_table(sl32)
+    for i, size in enumerate(ct.sizes.tolist()):
+        if i == ct.origin:
             continue
-        ok = ok and generic.holds_for(cls.size)
+        ok = ok and generic.holds_for(size)
     elapsed = time.monotonic() - t0
     report(7, "exact deltas and class-size bound", ok, elapsed, 120.0)
 

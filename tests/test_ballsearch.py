@@ -17,7 +17,7 @@ from boundgen.ballsearch import (
     backtrack_word,
     ball_bfs,
     class_closure,
-    conjugacy_classes,
+    class_table,
     delta_exhaustive,
     enumerate_group,
     sl_order_mod,
@@ -25,7 +25,7 @@ from boundgen.ballsearch import (
 from boundgen.cli import run
 from boundgen.errors import BudgetExceeded, RingMismatch, SelfCheckFailed
 from boundgen.inequalities import product_table
-from boundgen.matrices import MatrixSL, elementary, identity
+from boundgen.matrices import MatrixSL, elementary, embed_block, identity
 from boundgen.rand import SplitMix64
 from boundgen.rings import RingSpec
 from boundgen.witness import delta_upper
@@ -153,6 +153,22 @@ def test_nongenerating_set(s3):
     assert rpt.reached == 3
 
 
+def test_lookups_outside_the_closure_and_outside_the_group(s3):
+    # S3 x S3 searched from the first factor's E_12(1): the second factor's
+    # E_12(1) has no norm, and E_13(1) is not an element at all
+    prod = product_table([s3, s3])
+    rpt = ball_bfs(prod, [embed_block(elementary(1, 2, 1, 2, F2), (1, 2), 4)])
+    other = embed_block(elementary(1, 2, 1, 2, F2), (3, 4), 4)
+    assert rpt.norm_of(other) is None
+    with pytest.raises(KeyError, match="outside the normal closure"):
+        backtrack_word(rpt, other)
+    e13 = elementary(1, 3, 1, 4, F2)
+    with pytest.raises(KeyError, match="not a group element"):
+        rpt.norm_of(e13)
+    with pytest.raises(KeyError, match="not a group element"):
+        backtrack_word(rpt, e13)
+
+
 def test_norm_axioms_exhaustive(s3):
     e = elementary(1, 2, 1, 2, F2)
     rpt = ball_bfs(s3, [e])
@@ -208,8 +224,8 @@ def test_sl32_diameter_bound(sl32):
 
 
 def test_conjugacy_classes(s3, sl32):
-    assert sorted(c.size for c in conjugacy_classes(s3)) == [1, 2, 3]
-    sizes = sorted(c.size for c in conjugacy_classes(sl32))
+    assert sorted(class_table(s3).sizes.tolist()) == [1, 2, 3]
+    sizes = sorted(class_table(sl32).sizes.tolist())
     assert sizes == [1, 21, 24, 24, 42, 56]
     assert sum(sizes) == 168
 
@@ -378,7 +394,8 @@ def test_class_closure_conjugators_and_classes(ring, n, psl, gens):
         letter = s[entry.gen] if entry.exp == 1 else s[entry.gen].inv()
         assert table.key_of((conj * letter * conj.inv()).entries) == table.key_of(entry.mat)
     met = {table.key_of(m.entries) for g in s for m in (g, g.inv())}
-    expected = {k for c in conjugacy_classes(table) if met.intersection(c.keys) for k in c.keys}
+    ct = class_table(table)
+    expected = set(table.keys[np.isin(ct.index[table.keys], ct.index[list(met)])].tolist())
     expected.discard(table.identity_key)
     assert sorted(table.key_of(e.mat) for e in alphabet) == sorted(expected)
 
@@ -387,10 +404,10 @@ def test_conjugacy_classes_sl2_f59():
     # p + 4 classes: +-I, four of size (p^2 - 1)/2, (p - 3)/2 split and
     # (p - 1)/2 non-split semisimple classes
     table = enumerate_group(RingSpec.prime_field(59), 2)
-    classes = conjugacy_classes(table)
-    assert len(classes) == 63
-    assert Counter(c.size for c in classes) == {1: 2, 1740: 4, 3422: 29, 3540: 28}
-    assert sum(c.size for c in classes) == table.order == 205320
+    sizes = class_table(table).sizes.tolist()
+    assert len(sizes) == 63
+    assert Counter(sizes) == {1: 2, 1740: 4, 3422: 29, 3540: 28}
+    assert sum(sizes) == table.order == 205320
 
 
 def test_psl_coincides_with_sl_for_trivial_scalars(sl32):

@@ -21,8 +21,7 @@ from boundgen import ballsearch
 from boundgen.ballsearch import (
     FiniteGroupTable,
     ball_bfs,
-    class_balls,
-    conjugacy_classes,
+    class_table,
     delta_exhaustive,
     enumerate_group,
 )
@@ -224,7 +223,37 @@ def test_enumeration_matches_reference(group):
 
 def test_classes_match_reference(group):
     table, ref = group
-    assert [(c.rep_key, c.keys.tolist()) for c in conjugacy_classes(table)] == ref.classes()
+    ct, keys = class_table(table), table.keys
+    classes = [(rep, keys[ct.index[keys] == i].tolist()) for i, rep in enumerate(ct.reps.tolist())]
+    assert classes == ref.classes()
+
+
+def test_class_table_matches_reference(group, monkeypatch):
+    # hits[i, j, k] against brute force: some x in class j with x * rep(class i)
+    # in class k; also the class sizes, the identity's class, each unit (a
+    # class with the class of its rep's inverse) and the symmetry
+    # hits[i, j] = hits[j, i].  With 16-cell gathers every class is gathered
+    # in many blocks.
+    table, ref = group
+    classes = ref.classes()
+    position = {k: i for i, (_, members) in enumerate(classes) for k in members}
+    element = {key(m, ref.q): m for m in ref.elements}
+    c = len(classes)
+    expected = np.zeros((c, c, c), dtype=bool)
+    for i, (rep, _) in enumerate(classes):
+        for j, (_, members) in enumerate(classes):
+            for x in members:
+                expected[i, j, position[key(ref.mul(element[x], element[rep]), ref.q)]] = True
+    inverses = [position[key(ref.inverse[element[rep]], ref.q)] for rep, _ in classes]
+    for cells in (ballsearch._GATHER_CELLS, 16):
+        monkeypatch.setattr(ballsearch, "_GATHER_CELLS", cells)
+        ct = class_table(table)
+        assert ct.reps.tolist() == [rep for rep, _ in classes]
+        assert ct.sizes.tolist() == [len(members) for _, members in classes]
+        assert ct.origin == position[key(ref.one, ref.q)]
+        assert [ct.unit(i) for i in range(c)] == [tuple(sorted({i, inverses[i]})) for i in range(c)]
+        assert (ct.hits == expected).all()
+        assert (ct.hits == ct.hits.transpose(1, 0, 2)).all()
 
 
 def test_balls_match_reference(group):
@@ -250,7 +279,7 @@ def test_class_searches_match_reference(group, monkeypatch):
     balls_of = {}  # the reference ball of each searched unit list
     for cells in (ballsearch._GATHER_CELLS, 16):
         monkeypatch.setattr(ballsearch, "_GATHER_CELLS", cells)
-        balls, search = class_balls(table)
+        balls, search = delta_exhaustive(table, 1).classes, class_table(table).search
         first = {}
         for b in balls:
             rep = b.rep.entries

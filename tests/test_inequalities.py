@@ -4,7 +4,7 @@ from boundgen import ballsearch
 from boundgen.ballsearch import (
     FiniteGroupTable,
     ball_bfs,
-    conjugacy_classes,
+    class_table,
     delta_exhaustive,
     enumerate_group,
 )
@@ -51,9 +51,10 @@ def test_product_of_unequal_blocks():
     s3, sl32 = enumerate_group(F2, 2), enumerate_group(F2, 3)
     prod = product_table([s3, sl32])
     assert (prod.order, len(prod.gens)) == (1008, 8)
-    sizes = sorted(c.size for c in conjugacy_classes(prod))
+    sizes = sorted(class_table(prod).sizes.tolist())
     assert len(sizes) == 18
-    assert sizes == sorted(a.size * b.size for a in conjugacy_classes(s3) for b in conjugacy_classes(sl32))
+    s3_sizes, sl32_sizes = class_table(s3).sizes.tolist(), class_table(sl32).sizes.tolist()
+    assert sizes == sorted(a * b for a in s3_sizes for b in sl32_sizes)
     row = check_product_bound(
         delta_exhaustive(prod, 2), [delta_exhaustive(s3, 1).value, delta_exhaustive(sl32, 1).value]
     )
@@ -81,13 +82,13 @@ def test_quotient_bound_walks_levels_once(monkeypatch):
     h = enumerate_group(F2, 2)
     g = product_table([h, h])
     searches = []
-    class_search = ballsearch._class_search
+    class_search = ballsearch.ClassTable.search
 
     def counted(*args, **kwargs):
         searches.append(1)
         return class_search(*args, **kwargs)
 
-    monkeypatch.setattr(ballsearch, "_class_search", counted)
+    monkeypatch.setattr(ballsearch.ClassTable, "search", counted)
     row = check_quotient_bound(g, h)
     assert (row.lhs, row.rhs, row.holds, row.context["n0"]) == (2, 4, True, 2)
     assert len(searches) == 31
