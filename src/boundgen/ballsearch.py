@@ -6,24 +6,29 @@ row-major; FiniteGroupTable owns the format), so each row of a matrix is one
 base-q^n digit of its key.  All of SL(n, Z/l) is read off those digits by a
 determinant sieve (_sieve_keys), and right multiplication by a letter maps
 each row on its own, so one table per (scalar, letter, row) gives the key of
-any image (_row_tables, _gather).  The ball of a set S is a level-synchronous
-push/pull BFS (_frontier_levels) over its alphabet, the full conjugacy-class
-closure of S and S^-1, which comes from the same conjugation walk
-(_conjugation_walk) that partitions the group into classes.
+any image (_row_tables, _gather).  ball_bfs, the ball of a set S in a whole
+group, is a level-synchronous push/pull BFS (_frontier_levels) over its
+alphabet, the full conjugacy-class closure of S and S^-1, which comes from
+the same conjugation walk (_conjugation_walk) that partitions the group
+into classes.
 
-Delta_k ranges over sets of class units (a nontrivial class with the class
-of its inverses), and a set's norm is a class function, so its searches run
-on one ClassTable per group: if g in C is on level L, g*a in C' and
-rep(C) = h*g*h^-1, then rep(C)*(h*a*h^-1) lies in C' and h*a*h^-1 is a
-letter.  So level L+1 is the unvisited classes that the reps of level L
-reach in one letter, read from the class product table.  Only the minimal
+Norms are class functions, so searches can run on one ClassTable per group:
+if g in C is on level L, g*a in C' and rep(C) = h*g*h^-1, then
+rep(C)*(h*a*h^-1) lies in C' and h*a*h^-1 is a letter.  So level L+1 is the
+unvisited classes that the reps of level L reach in one letter, read from
+the class product table (class_levels).  Delta_k ranges over sets of class
+units (a nontrivial class with the class of its inverses); only the minimal
 hitting sets of the maximal normal subgroups' complements are searched.
+The ball of S in SL(n, Z/l) for l with two or more prime factors is read
+off the same class search in the product of the prime-power factors
+(factor_ball), whose class step is the Kronecker product of theirs.
 tests/test_ballsearch_reference.py checks keys, growth, norms, the class
 table and the class searches against a slow pure-Python reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from operator import or_
@@ -31,7 +36,7 @@ from operator import or_
 import numpy as np
 
 from .errors import BudgetExceeded, DimMismatch, MalformedInput, RingMismatch, SelfCheckFailed
-from .matrices import MatrixSL, _det_int, _mul_entries, elementary, identity
+from .matrices import MatrixSL, _det_int, _mul_entries, elementary, identity, reduce_ring
 from .rings import RingSpec, factorize, is_unit
 from .witness import sl_order
 from .words import ConjWord, Letter
@@ -153,14 +158,18 @@ def enumerate_group(ring: RingSpec, n: int, psl: bool = False) -> FiniteGroupTab
         if i != j
         for v in sorted({1, q - 1})
     ]
-    # the scalar matrices in SL(n, ring): units lam with lam^n = 1
-    scalars = [lam for lam in range(1, q) if is_unit(lam, ring) and pow(lam, n, q) == 1]
-    table = FiniteGroupTable(ring, n, np.empty(0, dtype=np.int64), gens, scalars if psl else [1])
+    table = FiniteGroupTable(ring, n, np.empty(0, dtype=np.int64), gens, _scalars(ring, n, psl))
     table.keys = _sieve_keys(table)
     expected = sl_order_mod(n, q) // len(table.scalars)
     if table.order != expected:
         raise SelfCheckFailed(f"enumerated {table.order} elements, closed form gives {expected}")
     return table
+
+
+def _scalars(ring: RingSpec, n: int, psl: bool) -> list[int]:
+    """The scalar matrices in SL(n, ring), units lam with lam^n = 1, for psl; [1] otherwise."""
+    q = ring.modulus
+    return [lam for lam in range(1, q) if is_unit(lam, ring) and pow(lam, n, q) == 1] if psl else [1]
 
 
 def _sieve_keys(table: FiniteGroupTable) -> np.ndarray:
@@ -482,14 +491,33 @@ class ClassTable:
         """The class search over the letters of units from the identity's
         class: its diameter, None if they do not normally generate, and the
         bitmask of the classes it reaches."""
-        step = self.hits[:, [i for unit in units for i in unit]].any(axis=1)  # class -> class
-        seen = np.arange(len(step)) == self.origin
-        frontier, levels = seen.copy(), 0
-        while frontier.any() and not seen.all():
-            frontier = step[frontier].any(axis=0) & ~seen
-            seen |= frontier
-            levels += 1
-        return (levels if seen.all() else None), sum(1 << int(i) for i in np.flatnonzero(seen))
+        levels = class_levels([self], [(i,) for unit in units for i in unit])
+        seen = reduce(or_, levels)
+        return (len(levels) - 1 if seen.all() else None), sum(1 << int(i) for i in np.flatnonzero(seen))
+
+
+def class_levels(cts: list[ClassTable], letters) -> list[np.ndarray]:
+    """The class search in the product of the groups of cts, from the
+    identity's class: each level's classes as a mask over the product's
+    classes, flat in row-major order of their factor classes.
+
+    A letter is a class of the product, one class per factor.  Level L+1 is
+    the unvisited classes that level L reaches in one letter.  The
+    coordinates of a product's element are chosen independently, so the
+    class step of a letter is the Kronecker product of its factors'
+    hits[:, j] and no table of the product is built; a single group is the
+    one-factor case.
+    """
+    shape = [len(ct.reps) for ct in cts]
+    step = np.zeros((math.prod(shape),) * 2, dtype=bool)  # class -> class
+    for letter in letters:
+        step |= reduce(np.kron, [ct.hits[:, j] for ct, j in zip(cts, letter)])
+    seen = np.arange(len(step)) == np.ravel_multi_index([ct.origin for ct in cts], shape)
+    levels = [seen.copy()]
+    while not seen.all() and (frontier := step[levels[-1]].any(axis=0) & ~seen).any():
+        seen |= frontier
+        levels.append(frontier)
+    return levels
 
 
 def class_table(table: FiniteGroupTable) -> ClassTable:
@@ -521,6 +549,39 @@ def class_table(table: FiniteGroupTable) -> ClassTable:
             ct.hits.reshape(-1)[(order[:rank] * c + j) * c + index[images]] = True
     ct.hits |= ct.hits.transpose(1, 0, 2)
     return ct
+
+
+def factor_ball(ring: RingSpec, n: int, s: list[MatrixSL], psl: bool) -> tuple[int, int, list[int]]:
+    """The order, the alphabet size and the growth of the ball of s in
+    SL(n, Z/l), or PSL with psl, read off the class tables of the
+    prime-power factors of l.
+
+    By the Chinese remainder theorem the group is the product of the
+    SL(n, Z/p^e), and PSL too, as the scalars split the same way.  Every
+    ball field is a class function: the alphabet conj(S^{+-1}) is the union
+    of the classes of s and s^-1 other than the identity's, each found by
+    reducing a generator into every factor, and growth sums the class sizes
+    per level of class_levels.  DENSE_KEY_LIMIT applies to each factor.
+    """
+    for g in s:
+        if g.ring != ring or g.n != n:
+            raise RingMismatch("generator ring/dimension differs from the group")
+    factors = sorted(factorize(ring.modulus).items())
+    cts = [class_table(enumerate_group(RingSpec.residue(p ** e), n, psl)) for p, e in factors]
+    order = math.prod(ct.table.order for ct in cts)
+    expected = sl_order_mod(n, ring.modulus) // len(_scalars(ring, n, psl))
+    if order != expected:
+        raise SelfCheckFailed(f"factor orders multiply to {order}, closed form gives {expected}")
+    letters = {
+        tuple(int(ct.index[ct.table.key_of(reduce_ring(m, ct.table.ring).entries)]) for ct in cts)
+        for g in s
+        for m in (g, g.inv())
+    }
+    letters.discard(tuple(ct.origin for ct in cts))
+    sizes = reduce(np.kron, [ct.sizes for ct in cts])
+    alphabet = sum(math.prod(int(ct.sizes[j]) for ct, j in zip(cts, letter)) for letter in letters)
+    growth = np.cumsum([sizes[level].sum() for level in class_levels(cts, letters)])
+    return order, alphabet, growth.tolist()
 
 
 @dataclass

@@ -14,11 +14,12 @@ prints the same bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import __version__
-from .ballsearch import ball_bfs, delta_exhaustive, enumerate_group
+from .ballsearch import ball_bfs, delta_exhaustive, enumerate_group, factor_ball
 from .checks import run_identity_suites
 from .errors import BoundgenError, MalformedInput, SelfCheckFailed, VerificationFailed
 from .factorize import factor_euclid, factor_semilocal
@@ -143,20 +144,25 @@ def cmd_hessenberg(args) -> int:
 
 def cmd_ball(args) -> int:
     ring = parse_ring(args.ring)
-    table = enumerate_group(ring, args.n, psl=args.psl)
-    gens = genset_from_json(_load(args.gens))
-    report_b = ball_bfs(table, list(gens.elements))
-    growth = report_b.growth
+    gens = list(genset_from_json(_load(args.gens)).elements)
+    # a prime power keeps the element BFS, which pays for no class partition
+    if len(ring.maximal_ideals or ()) > 1:
+        order, alphabet, growth = factor_ball(ring, args.n, gens, args.psl)
+    else:
+        table = enumerate_group(ring, args.n, psl=args.psl)
+        report_b = ball_bfs(table, gens)
+        order, alphabet, growth = table.order, len(report_b.alphabet), report_b.growth
+    generates = growth[-1] == order
     report = _header(
         args,
         ring=ring_to_json(ring),
         n=args.n,
         psl=args.psl,
-        order=table.order,
-        alphabet=len(report_b.alphabet),
-        reached=report_b.reached,
-        normally_generates=report_b.normally_generates,
-        diameter=report_b.diameter,
+        order=order,
+        alphabet=alphabet,
+        reached=growth[-1],
+        normally_generates=generates,
+        diameter=len(growth) - 1 if generates else None,
         growth=growth,
     )
     if args.csv:
@@ -270,6 +276,7 @@ def cmd_check_inequalities(args) -> int:
     return 0 if all_hold else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boundgen",
@@ -301,7 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_hessenberg)
 
-    p = sub.add_parser("ball", help="exact ball BFS in a finite group")
+    p = sub.add_parser(
+        "ball",
+        help="exact ball BFS in a finite group; composite l runs through its "
+        "prime-power factors, so DENSE_KEY_LIMIT applies per factor",
+    )
     p.add_argument("--ring", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--gens", required=True)

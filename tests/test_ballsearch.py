@@ -20,6 +20,7 @@ from boundgen.ballsearch import (
     class_table,
     delta_exhaustive,
     enumerate_group,
+    factor_ball,
     sl_order_mod,
 )
 from boundgen.cli import run
@@ -331,6 +332,29 @@ def test_delta_trivial_group_unattained(k):
     assert table.order == 1 and table.identity_key == 9
     rpt = delta_exhaustive(table, k)
     assert not rpt.attained and rpt.value is None and rpt.witness == []
+
+
+FACTORED = [(2, l, psl) for l in (6, 10, 12, 14, 15) for psl in (False, True)]
+
+
+@pytest.mark.parametrize("n, l, psl", FACTORED + [(3, 6, False), (3, 6, True)])
+def test_factor_ball_matches_the_whole_group(n, l, psl):
+    # SL(n, Z/l) is the product of the SL(n, Z/p^e): the class route through
+    # the factors must give the ball of the element BFS on the whole group.
+    # With p the largest prime of l, E_12(l/p) is the identity mod every
+    # prime power but p's, so alone it does not normally generate, while
+    # E_21(p) is the identity mod p alone and the pair does; the identity
+    # alone gives an empty alphabet.
+    ring = RingSpec.residue(l)
+    table = enumerate_group(ring, n, psl)
+    p = ring.maximal_ideals[-1]
+    pair = [elementary(1, 2, l // p, n, ring), elementary(2, 1, p, n, ring)]
+    generates = []
+    for s in (pair, pair[:1], [identity(n, ring)]):
+        rpt = ball_bfs(table, s)
+        assert factor_ball(ring, n, s, psl) == (table.order, len(rpt.alphabet), rpt.growth)
+        generates.append(rpt.normally_generates)
+    assert generates == [True, False, False]
 
 
 def test_quotient_ball_compat(sl24):

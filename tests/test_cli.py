@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from boundgen import ballsearch
+from boundgen.ballsearch import sl_order_mod
 from boundgen.cli import run
 from boundgen.errors import MalformedInput
 from boundgen.matrices import elementary
@@ -156,6 +158,41 @@ def test_ball_verb_with_csv(tmp_path, capsys):
     lines = (tmp_path / "growth.csv").read_text().strip().splitlines()
     assert lines[0] == "radius,ball_size"
     assert lines[-1] == "2,6"
+
+
+def test_ball_verb_past_the_key_limit(tmp_path, capsys):
+    # the key space of SL(3, Z/10) is 10^9, past DENSE_KEY_LIMIT; those of
+    # its factors SL(3, F2) and SL(3, F5) are not
+    z10 = RingSpec.residue(10)
+    p = write(tmp_path, "g.json", genset_to_json(GenSet((elementary(1, 3, 1, 3, z10),))))
+    assert run(["ball", "--ring", "Zmod:10", "--n", "3", "--gens", p]) == 0
+    rep = out_json(capsys)
+    assert rep["order"] == sl_order_mod(3, 10) == 62_496_000
+    # the transvections: 21 in SL(3, F2) times 744 in SL(3, F5)
+    assert rep["alphabet"] == 15_624
+    assert rep["growth"][-1] == rep["reached"] == rep["order"]
+    assert rep["normally_generates"] is True and rep["diameter"] == 3
+
+
+def test_ball_verb_exit_codes(tmp_path, capsys, monkeypatch):
+    z6, z12 = RingSpec.residue(6), Z12
+
+    def gens(ring, n):
+        return write(tmp_path, "g.json", genset_to_json(GenSet((elementary(1, 2, 1, n, ring),))))
+
+    # Z is refused before any factorization of its modulus
+    monkeypatch.setattr(ballsearch, "factorize", None)
+    assert run(["ball", "--ring", "Z", "--n", "2", "--gens", gens(Z, 2)]) == 1
+    monkeypatch.undo()
+    assert capsys.readouterr().err.startswith("error: ")
+    # a generator over another ring or dimension, though Z/12 reduces to Z/6
+    for ring, n in ((z12, 2), (z6, 3)):
+        assert run(["ball", "--ring", "Zmod:6", "--n", "2", "--gens", gens(ring, n)]) == 1
+        assert "generator ring/dimension differs" in capsys.readouterr().err
+    # the factor orders must multiply to the closed form
+    monkeypatch.setattr(ballsearch, "sl_order_mod", lambda n, l, real=sl_order_mod: real(n, l) + (l == 6))
+    assert run(["ball", "--ring", "Zmod:6", "--n", "2", "--gens", gens(z6, 2)]) == 2
+    assert "self-check failed: factor orders multiply to 144" in capsys.readouterr().err
 
 
 def test_delta_verb(capsys):
