@@ -12,16 +12,19 @@ alphabet, the full conjugacy-class closure of S and S^-1, which comes from
 the same conjugation walk (_conjugation_walk) that partitions the group
 into classes.
 
-Norms are class functions, so searches can run on one ClassTable per group:
+Norms are class functions, so searches can run on class tables alone:
 if g in C is on level L, g*a in C' and rep(C) = h*g*h^-1, then
 rep(C)*(h*a*h^-1) lies in C' and h*a*h^-1 is a letter.  So level L+1 is the
 unvisited classes that the reps of level L reach in one letter, read from
-the class product table (class_levels).  Delta_k ranges over sets of class
-units (a nontrivial class with the class of its inverses); only the minimal
-hitting sets of the maximal normal subgroups' complements are searched.
-The ball of S in SL(n, Z/l) for l with two or more prime factors is read
-off the same class search in the product of the prime-power factors
-(factor_ball), whose class step is the Kronecker product of theirs.
+the class product tables (ClassProduct.levels).  By the Chinese remainder
+theorem SL(n, Z/l) is the product of its prime-power factors, and a
+ClassProduct holds the ClassTable of each (class_product), so a composite
+l is never enumerated whole: its class step is the Kronecker product of
+the factors' and a class rep is the CRT of theirs.  Delta_k and the ball
+of S on composite l both run on it; a single group is the one-factor case.
+Delta_k ranges over sets of class units (a nontrivial class with the class
+of its inverses); only the minimal hitting sets of the maximal normal
+subgroups' complements are searched.
 tests/test_ballsearch_reference.py checks keys, growth, norms, the class
 table and the class searches against a slow pure-Python reference.
 """
@@ -36,7 +39,7 @@ from operator import or_
 import numpy as np
 
 from .errors import BudgetExceeded, DimMismatch, MalformedInput, RingMismatch, SelfCheckFailed
-from .matrices import MatrixSL, _det_int, _mul_entries, elementary, identity, reduce_ring
+from .matrices import MatrixSL, _det_int, _mul_entries, elementary, identity
 from .rings import RingSpec, factorize, is_unit
 from .witness import sl_order
 from .words import ConjWord, Letter
@@ -129,10 +132,16 @@ class FiniteGroupTable:
         return self.key_of(identity(self.n, self.ring).entries)
 
     @cached_property
-    def conjugators(self) -> np.ndarray:
-        """gens and their inverses, shape (2, gens, 1, n, n), for every conjugation walk."""
-        invs = [MatrixSL(self.n, self.ring, g).inv().entries for g in self.gens]
-        return np.array([self.gens, invs], dtype=np.int64)[:, :, None]
+    def conjugation_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """x -> g x g^-1 on the flat entries of x for every g in gens: entry e
+        of the image is sum_r coef[g, e, r] * x[src[g, e, r]], the nonzero
+        terms of row e of g kron g^-T, the row operations of g followed by the
+        column operations of g^-1.  An elementary g has at most four."""
+        n = self.n
+        invs = [MatrixSL(n, self.ring, g).inv().entries for g in self.gens]
+        k = np.einsum("gac,gdb->gabcd", np.array(self.gens), np.array(invs)).reshape(-1, n * n, n * n)
+        src = np.argsort(k == 0, axis=2, kind="stable")[:, :, : (k != 0).sum(axis=2).max()]
+        return src, np.take_along_axis(k, src, axis=2)
 
 
 def enumerate_group(ring: RingSpec, n: int, psl: bool = False) -> FiniteGroupTable:
@@ -395,17 +404,21 @@ def _conjugation_walk(table: FiniteGroupTable, start_key: int, marks: np.ndarray
     over the key space: a walk never leaves its class, so a key is fresh iff
     it does not hold mark yet.  Returns the class's keys in visit order, the
     visit position of each key's parent and the index in table.gens of the
-    generator that conjugated the parent into it (-1 for start_key).
+    generator that conjugated the parent into it (-1 for start_key).  Each
+    conjugation gathers table.conjugation_terms, no matrix product: for the
+    elementary E_ij(v) that tables step by, one row and one column operation.
     """
     q, n = table.ring.modulus, table.n
-    gens, invs = table.conjugators
+    src, coef = table.conjugation_terms
+    powers = q ** np.arange(n * n, dtype=np.int64)
     marks[start_key] = mark
     frontier = np.array([start_key], dtype=np.int64)
     keys, parent, via = [frontier], [np.array([-1])], [np.array([-1])]
     start = 0  # visit position of the frontier's first key
     while frontier.size:
-        images = gens @ table.decode(frontier) % q @ invs % q
-        images = table.canonical_keys(images.reshape(-1, n, n))  # generator-major
+        x = frontier // powers[:, None] % q  # the frontier's entries, one row per entry
+        images = sum(coef[:, :, r, None] * x[src[:, :, r]] for r in range(src.shape[2]))
+        images = table.canonical_keys(images.transpose(0, 2, 1).reshape(-1, n, n) % q)  # generator-major
         fresh = np.flatnonzero(marks[images] != mark)
         new, first = np.unique(images[fresh], return_index=True)
         marks[new] = mark
@@ -483,42 +496,6 @@ class ClassTable:
         """The identity's class."""
         return int(self.index[self.table.identity_key])
 
-    def unit(self, i: int) -> tuple[int, ...]:
-        """Class i and the class j of its inverses, where hits[i, j] meets the identity's class."""
-        return tuple(sorted({i, int(self.hits[i, :, self.origin].argmax())}))
-
-    def search(self, units) -> tuple[int | None, int]:
-        """The class search over the letters of units from the identity's
-        class: its diameter, None if they do not normally generate, and the
-        bitmask of the classes it reaches."""
-        levels = class_levels([self], [(i,) for unit in units for i in unit])
-        seen = reduce(or_, levels)
-        return (len(levels) - 1 if seen.all() else None), sum(1 << int(i) for i in np.flatnonzero(seen))
-
-
-def class_levels(cts: list[ClassTable], letters) -> list[np.ndarray]:
-    """The class search in the product of the groups of cts, from the
-    identity's class: each level's classes as a mask over the product's
-    classes, flat in row-major order of their factor classes.
-
-    A letter is a class of the product, one class per factor.  Level L+1 is
-    the unvisited classes that level L reaches in one letter.  The
-    coordinates of a product's element are chosen independently, so the
-    class step of a letter is the Kronecker product of its factors'
-    hits[:, j] and no table of the product is built; a single group is the
-    one-factor case.
-    """
-    shape = [len(ct.reps) for ct in cts]
-    step = np.zeros((math.prod(shape),) * 2, dtype=bool)  # class -> class
-    for letter in letters:
-        step |= reduce(np.kron, [ct.hits[:, j] for ct, j in zip(cts, letter)])
-    seen = np.arange(len(step)) == np.ravel_multi_index([ct.origin for ct in cts], shape)
-    levels = [seen.copy()]
-    while not seen.all() and (frontier := step[levels[-1]].any(axis=0) & ~seen).any():
-        seen |= frontier
-        levels.append(frontier)
-    return levels
-
 
 def class_table(table: FiniteGroupTable) -> ClassTable:
     """The ClassTable of a group: classes in order of least key.
@@ -551,37 +528,111 @@ def class_table(table: FiniteGroupTable) -> ClassTable:
     return ct
 
 
-def factor_ball(ring: RingSpec, n: int, s: list[MatrixSL], psl: bool) -> tuple[int, int, list[int]]:
-    """The order, the alphabet size and the growth of the ball of s in
-    SL(n, Z/l), or PSL with psl, read off the class tables of the
-    prime-power factors of l.
+@dataclass
+class ClassProduct:
+    """The conjugacy classes of a product of groups, one ClassTable per
+    factor; a single group is the one-factor case.
 
-    By the Chinese remainder theorem the group is the product of the
-    SL(n, Z/p^e), and PSL too, as the scalars split the same way.  Every
-    ball field is a class function: the alphabet conj(S^{+-1}) is the union
-    of the classes of s and s^-1 other than the identity's, each found by
-    reducing a generator into every factor, and growth sums the class sizes
-    per level of class_levels.  DENSE_KEY_LIMIT applies to each factor.
+    A class of the product is one class per factor, numbered row-major, and
+    ring is that of its matrices (Z/l over factors Z/p^e).  Sizes, the
+    identity's class and inverses go factor by factor, and an element's
+    coordinates are chosen independently, so the class step of a letter is
+    the Kronecker product of its factors' hits[:, j].
     """
-    for g in s:
-        if g.ring != ring or g.n != n:
+
+    ring: RingSpec
+    factors: list[ClassTable]
+
+    @cached_property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(len(ct.reps) for ct in self.factors)
+
+    @property
+    def order(self) -> int:
+        return math.prod(ct.table.order for ct in self.factors)
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        return reduce(np.kron, [ct.sizes for ct in self.factors])
+
+    @cached_property
+    def origin(self) -> int:
+        """The identity's class."""
+        return int(np.ravel_multi_index([ct.origin for ct in self.factors], self.shape))
+
+    def unit(self, i: int) -> tuple[int, ...]:
+        """Class i and the class of its inverses, in each factor where hits[i, j] meets the origin."""
+        coords = np.unravel_index(i, self.shape)
+        inv = [ct.hits[j, :, ct.origin].argmax() for ct, j in zip(self.factors, coords)]
+        return tuple(sorted({i, int(np.ravel_multi_index(inv, self.shape))}))
+
+    def class_of(self, m: MatrixSL) -> int:
+        """The class of m, reduced into every factor (key_of reduces mod p^e)."""
+        coords = [ct.index[ct.table.key_of(m.entries)] for ct in self.factors]
+        return int(np.ravel_multi_index(coords, self.shape))
+
+    def rep(self, i: int) -> MatrixSL:
+        """The rep of class i: the entrywise CRT of the factors' least-key
+        reps, reduced back into every factor and checked."""
+        l, n = self.ring.modulus, self.factors[0].table.n
+        keys = [int(ct.reps[j]) for ct, j in zip(self.factors, np.unravel_index(i, self.shape))]
+        entries = 0  # object dtype: exact Python ints, as l * p^e may pass int64
+        for ct, key in zip(self.factors, keys):
+            m, grid = ct.table.ring.modulus, ct.table.decode(np.array([key]))[0].astype(object)
+            entries = entries + l // m * pow(l // m, -1, m) * grid
+        rep = MatrixSL(n, self.ring, tuple(map(tuple, entries.tolist())))
+        if [ct.table.key_of(rep.entries) for ct in self.factors] != keys:
+            raise SelfCheckFailed(f"the CRT rep of class {i} does not reduce to its factor reps")
+        return rep
+
+    def levels(self, letters) -> list[np.ndarray]:
+        """The class search from the identity's class, each level as a mask:
+        level L+1 is the unvisited classes level L reaches in one letter."""
+        step = np.zeros((len(self.sizes),) * 2, dtype=bool)  # class -> class
+        for letter in letters:
+            coords = np.unravel_index(letter, self.shape)
+            step |= reduce(np.kron, [ct.hits[:, j] for ct, j in zip(self.factors, coords)])
+        seen = np.arange(len(step)) == self.origin
+        levels = [seen.copy()]
+        while not seen.all() and (frontier := step[levels[-1]].any(axis=0) & ~seen).any():
+            seen |= frontier
+            levels.append(frontier)
+        return levels
+
+    def search(self, units) -> tuple[int | None, int]:
+        """The diameter of the search over the classes of units (None if they
+        do not normally generate) and the bitmask of the classes it reaches."""
+        levels = self.levels({i for unit in units for i in unit})
+        seen = reduce(or_, levels)
+        return (len(levels) - 1 if seen.all() else None), sum(1 << int(i) for i in np.flatnonzero(seen))
+
+    def ball(self, s: list[MatrixSL]) -> tuple[int, int, list[int]]:
+        """The order, the alphabet size and the growth of the ball of s, all
+        class functions: the alphabet conj(S^{+-1}) is the classes of s and
+        s^-1 but the identity's, and growth sums class sizes per level."""
+        if any(g.ring != self.ring or g.n != self.factors[0].table.n for g in s):
             raise RingMismatch("generator ring/dimension differs from the group")
-    factors = sorted(factorize(ring.modulus).items())
-    cts = [class_table(enumerate_group(RingSpec.residue(p ** e), n, psl)) for p, e in factors]
-    order = math.prod(ct.table.order for ct in cts)
+        letters = {self.class_of(m) for g in s for m in (g, g.inv())} - {self.origin}
+        growth = np.cumsum([self.sizes[level].sum() for level in self.levels(letters)])
+        return self.order, int(self.sizes[list(letters)].sum()), growth.tolist()
+
+
+def class_product(ring: RingSpec, n: int, psl: bool) -> ClassProduct:
+    """The ClassProduct of SL(n, ring), or PSL with psl, over the prime
+    powers of its modulus: one enumerate_group and one class_table each.
+
+    By the Chinese remainder theorem SL(n, Z/l) is the product of the
+    SL(n, Z/p^e), and PSL too, as the scalars split the same way, so
+    DENSE_KEY_LIMIT applies per factor.  A prime power is one factor.
+    """
+    rings = [ring]
+    if len(ring.maximal_ideals or ()) > 1:  # Z/l with two or more primes; Z never factors
+        rings = [RingSpec.residue(p ** e) for p, e in sorted(factorize(ring.modulus).items())]
+    cp = ClassProduct(ring, [class_table(enumerate_group(r, n, psl)) for r in rings])
     expected = sl_order_mod(n, ring.modulus) // len(_scalars(ring, n, psl))
-    if order != expected:
-        raise SelfCheckFailed(f"factor orders multiply to {order}, closed form gives {expected}")
-    letters = {
-        tuple(int(ct.index[ct.table.key_of(reduce_ring(m, ct.table.ring).entries)]) for ct in cts)
-        for g in s
-        for m in (g, g.inv())
-    }
-    letters.discard(tuple(ct.origin for ct in cts))
-    sizes = reduce(np.kron, [ct.sizes for ct in cts])
-    alphabet = sum(math.prod(int(ct.sizes[j]) for ct, j in zip(cts, letter)) for letter in letters)
-    growth = np.cumsum([sizes[level].sum() for level in class_levels(cts, letters)])
-    return order, alphabet, growth.tolist()
+    if cp.order != expected:
+        raise SelfCheckFailed(f"factor orders multiply to {cp.order}, closed form gives {expected}")
+    return cp
 
 
 @dataclass
@@ -623,7 +674,7 @@ class DeltaReport:
     classes: list[ClassBall] = field(repr=False)
 
 
-def _minimal_generating_sets(units: list[ClassBall], ct: ClassTable):
+def _minimal_generating_sets(units: list[ClassBall], cp: ClassProduct):
     """The minimal normally generating unit sets, lexicographically, and the searches run.
 
     Maximal normal subgroups: walk up from the trivial one, joining one unit
@@ -641,7 +692,7 @@ def _minimal_generating_sets(units: list[ClassBall], ct: ClassTable):
         for i, u in enumerate(units):
             union = sub | u.reaches
             if union not in join and union != full:
-                join[union] = ct.search([units[j].unit for j in gens[sub] + (i,)])[1]
+                join[union] = cp.search([units[j].unit for j in gens[sub] + (i,)])[1]
                 searches += 1
             closed = join.get(union, full)
             if closed not in gens and closed != full:
@@ -663,7 +714,7 @@ def _minimal_generating_sets(units: list[ClassBall], ct: ClassTable):
     return out, searches
 
 
-def _delta_levels(table: FiniteGroupTable):
+def _delta_levels(cp: ClassProduct):
     """The DeltaReport for k = 1, 2, ... in turn.
 
     A unit set normally generates iff no maximal normal subgroup contains
@@ -672,14 +723,13 @@ def _delta_levels(table: FiniteGroupTable):
     then in lexicographic unit order, keeping the first maximum.  k = 1
     reads off the class searches alone.
     """
-    ct = class_table(table)
     searches: dict[tuple[int, ...], ClassBall] = {}  # each unit's search, from its least class
     classes = []
-    for i, size in enumerate(ct.sizes.tolist()):
-        if i != ct.origin:
-            rep, unit = table.matrix_at(table.index_of_key(int(ct.reps[i]))), ct.unit(i)
+    for i, size in enumerate(cp.sizes.tolist()):
+        if i != cp.origin:
+            rep, unit = cp.rep(i), cp.unit(i)
             if unit not in searches:
-                searches[unit] = ClassBall(size, rep, unit, *ct.search([unit]))
+                searches[unit] = ClassBall(size, rep, unit, *cp.search([unit]))
             classes.append(replace(searches[unit], size=size, rep=rep))
     best, witness, checked = None, [], len(classes)
     for c in classes:
@@ -687,18 +737,18 @@ def _delta_levels(table: FiniteGroupTable):
             best, witness = c.diameter, [c.rep]
     yield DeltaReport(1, best is not None, best, witness, False, checked, classes)
     units = list(searches.values())
-    sets, runs = _minimal_generating_sets(units, ct)
+    sets, runs = _minimal_generating_sets(units, cp)
     checked += runs
     for size in range(2, max([2, *map(len, sets)]) + 1):
         for cand in (s for s in sets if len(s) == size):
-            diameter = ct.search([units[i].unit for i in cand])[0]
+            diameter = cp.search([units[i].unit for i in cand])[0]
             checked += 1
             if best is None or diameter > best:
                 best, witness = diameter, [units[i].rep for i in cand]
         yield DeltaReport(size, best is not None, best, witness, False, checked, classes)
 
 
-def delta_exhaustive(table: FiniteGroupTable, k: int | None = 1) -> DeltaReport:
+def class_delta(cp: ClassProduct, k: int | None) -> DeltaReport:
     """Delta_k, the sup over sets of at most k class units.
 
     ||.||_S is the word norm over conj(S u S^{-1}), so it depends only on the
@@ -707,9 +757,13 @@ def delta_exhaustive(table: FiniteGroupTable, k: int | None = 1) -> DeltaReport:
     """
     if k is not None and k < 1:
         raise MalformedInput(f"Delta_k needs k >= 1, got {k}")
-    for rpt in _delta_levels(table):
+    for rpt in _delta_levels(cp):
         if rpt.k == k:
             break
     simple = k != 1 and bool(rpt.classes) and all(c.normally_generates for c in rpt.classes)
-    return replace(rpt, k=k or table.order, simple_shortcut=simple)
+    return replace(rpt, k=k or cp.order, simple_shortcut=simple)
 
+
+def delta_exhaustive(table: FiniteGroupTable, k: int | None = 1) -> DeltaReport:
+    """class_delta of one group table, the one-factor case."""
+    return class_delta(ClassProduct(table.ring, [class_table(table)]), k)

@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import __version__
-from .ballsearch import ball_bfs, delta_exhaustive, enumerate_group, factor_ball
+from .ballsearch import ball_bfs, class_delta, class_product, enumerate_group
 from .checks import run_identity_suites
 from .errors import BoundgenError, MalformedInput, SelfCheckFailed, VerificationFailed
 from .factorize import factor_euclid, factor_semilocal
@@ -147,7 +147,7 @@ def cmd_ball(args) -> int:
     gens = list(genset_from_json(_load(args.gens)).elements)
     # a prime power keeps the element BFS, which pays for no class partition
     if len(ring.maximal_ideals or ()) > 1:
-        order, alphabet, growth = factor_ball(ring, args.n, gens, args.psl)
+        order, alphabet, growth = class_product(ring, args.n, args.psl).ball(gens)
     else:
         table = enumerate_group(ring, args.n, psl=args.psl)
         report_b = ball_bfs(table, gens)
@@ -176,15 +176,15 @@ def cmd_ball(args) -> int:
 
 def cmd_delta(args) -> int:
     ring = parse_ring(args.ring)
-    table = enumerate_group(ring, args.n, psl=args.psl)
-    rpt = delta_exhaustive(table, args.k)
+    cp = class_product(ring, args.n, args.psl)
+    rpt = class_delta(cp, args.k)
     report = _header(
         args,
         ring=ring_to_json(ring),
         n=args.n,
         psl=args.psl,
         k=args.k,
-        order=table.order,
+        order=cp.order,
         attained=rpt.attained,
         delta=rpt.value if rpt.attained else "unattained",
         witness=[matrix_to_json(m) for m in rpt.witness],
@@ -321,7 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_ball)
 
-    p = sub.add_parser("delta", help="exhaustive delta_k of a finite group")
+    p = sub.add_parser(
+        "delta",
+        help="exhaustive delta_k of a finite group; composite l runs through its "
+        "prime-power factors, so DENSE_KEY_LIMIT applies per factor, and a "
+        "witness is the CRT of its factor class reps",
+    )
     p.add_argument("--ring", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=1)

@@ -15,10 +15,12 @@ import numpy as np
 
 from .ballsearch import (
     BallReport,
+    ClassProduct,
     DeltaReport,
     FiniteGroupTable,
     _delta_levels,
     ball_bfs,
+    class_table,
     delta_exhaustive,
     enumerate_group,
 )
@@ -57,7 +59,7 @@ def check_quotient_bound(
     Delta_{n0} and Delta_{n0+k} of G come from one walk of its levels, so
     its maximal normal subgroups are found once.
     """
-    levels = _delta_levels(table_g)
+    levels = _delta_levels(ClassProduct(table_g.ring, [class_table(table_g)]))
     for dn0 in levels:  # the first attained level is Delta_{n0}
         if dn0.attained:
             break

@@ -12,15 +12,17 @@ import pytest
 import boundgen
 from boundgen import ballsearch
 from boundgen.ballsearch import (
+    ClassProduct,
     FiniteGroupTable,
     _delta_levels,
     backtrack_word,
     ball_bfs,
     class_closure,
+    class_delta,
+    class_product,
     class_table,
     delta_exhaustive,
     enumerate_group,
-    factor_ball,
     sl_order_mod,
 )
 from boundgen.cli import run
@@ -306,23 +308,28 @@ RESIDUE_ROWS = {
     4: [(1, 4, 29), (2, 4, 29)],
     5: [(1, 3, 29), (2, 3, 29)],
     6: [(1, 3, 71), (2, 6, 104)],
+    10: [(1, 3, 179), (2, 6, 252)],
+    15: [(1, 3, 359), (2, 6, 504)],
 }
 
 
 @pytest.mark.parametrize("l", RESIDUE_ROWS)
 def test_delta_sl3_within_the_residue_bound(l):
     # one walk of the class searches gives Delta_1 and Delta_2 of SL(3,Z/l);
-    # both lie under 12 omega(l) (n-1), which is 24, or 48 for l = 6.
-    # SL(3,Z/6) has 943,488 elements in 72 classes.
-    table = enumerate_group(RingSpec.residue(l), 3)
+    # both lie under 12 omega(l) (n-1), which is 24, or 48 for omega(l) = 2,
+    # and Delta_2 is at least omega(l).  SL(3,Z/6) has 943,488 elements in
+    # 72 classes; SL(3,Z/10), with 10^9 keys, runs through its factors alone.
+    ring = RingSpec.residue(l)
+    omega = len(ring.maximal_ideals)
     start = time.perf_counter()
-    levels = _delta_levels(table)
+    levels = _delta_levels(class_product(ring, 3, False))
     rows = [next(levels), next(levels)]
     assert time.perf_counter() - start < 60
     assert [(r.k, r.value, r.checked_sets) for r in rows] == RESIDUE_ROWS[l]
     for r in rows:
         bound = delta_upper(3, r.k, "residue", l=l).value
-        assert bound == (48 if l == 6 else 24) and r.value <= bound
+        assert bound == 24 * omega and r.value <= bound
+    assert rows[1].value >= omega
 
 
 @pytest.mark.parametrize("k", [1, 2, None])
@@ -344,17 +351,30 @@ def test_factor_ball_matches_the_whole_group(n, l, psl):
     # With p the largest prime of l, E_12(l/p) is the identity mod every
     # prime power but p's, so alone it does not normally generate, while
     # E_21(p) is the identity mod p alone and the pair does; the identity
-    # alone gives an empty alphabet.
+    # alone gives an empty alphabet.  Delta_k through the factors must equal
+    # delta_exhaustive on the whole group, the one-factor product of its
+    # class table, built once here for every k; a witness set, a CRT rep
+    # per unit, must have diameter Delta_k in the whole group.
     ring = RingSpec.residue(l)
     table = enumerate_group(ring, n, psl)
+    cp, whole = class_product(ring, n, psl), ClassProduct(ring, [class_table(table)])
     p = ring.maximal_ideals[-1]
     pair = [elementary(1, 2, l // p, n, ring), elementary(2, 1, p, n, ring)]
     generates = []
     for s in (pair, pair[:1], [identity(n, ring)]):
         rpt = ball_bfs(table, s)
-        assert factor_ball(ring, n, s, psl) == (table.order, len(rpt.alphabet), rpt.growth)
+        assert cp.ball(s) == (table.order, len(rpt.alphabet), rpt.growth)
         generates.append(rpt.normally_generates)
     assert generates == [True, False, False]
+    diameters = {}
+    for k in (1, 2, 3, None):
+        got, want = class_delta(cp, k), class_delta(whole, k)
+        fields = [(r.attained, r.value, r.simple_shortcut) for r in (got, want)]
+        assert fields[0] == fields[1], k
+        witness = tuple(got.witness)
+        if witness not in diameters:
+            diameters[witness] = ball_bfs(table, list(witness)).diameter
+        assert diameters[witness] == got.value, k
 
 
 def test_quotient_ball_compat(sl24):

@@ -19,6 +19,7 @@ import pytest
 
 from boundgen import ballsearch
 from boundgen.ballsearch import (
+    ClassProduct,
     FiniteGroupTable,
     ball_bfs,
     class_table,
@@ -251,7 +252,8 @@ def test_class_table_matches_reference(group, monkeypatch):
         assert ct.reps.tolist() == [rep for rep, _ in classes]
         assert ct.sizes.tolist() == [len(members) for _, members in classes]
         assert ct.origin == position[key(ref.one, ref.q)]
-        assert [ct.unit(i) for i in range(c)] == [tuple(sorted({i, inverses[i]})) for i in range(c)]
+        units = [ClassProduct(table.ring, [ct]).unit(i) for i in range(c)]
+        assert units == [tuple(sorted({i, inverses[i]})) for i in range(c)]
         assert (ct.hits == expected).all()
         assert (ct.hits == ct.hits.transpose(1, 0, 2)).all()
 
@@ -279,7 +281,8 @@ def test_class_searches_match_reference(group, monkeypatch):
     balls_of = {}  # the reference ball of each searched unit list
     for cells in (ballsearch._GATHER_CELLS, 16):
         monkeypatch.setattr(ballsearch, "_GATHER_CELLS", cells)
-        balls, search = delta_exhaustive(table, 1).classes, class_table(table).search
+        balls = delta_exhaustive(table, 1).classes
+        search = ClassProduct(table.ring, [class_table(table)]).search
         first = {}
         for b in balls:
             rep = b.rep.entries

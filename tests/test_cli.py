@@ -207,6 +207,24 @@ def test_delta_verb(capsys):
     assert out_json(capsys)["delta"] == 6
 
 
+def test_delta_verb_past_the_key_limit(capsys):
+    # SL(3, Z/10) runs through SL(3, F2) and SL(3, F5), each within
+    # DENSE_KEY_LIMIT, where its own key space is 10^9
+    assert run(["delta", "--ring", "Zmod:10", "--n", "3", "--k", "2"]) == 0
+    rep = out_json(capsys)
+    assert rep["order"] == sl_order_mod(3, 10) == 62_496_000
+    assert (rep["attained"], rep["delta"]) == (True, 6)
+
+
+def test_delta_verb_exit_codes(capsys, monkeypatch):
+    # Z is refused before any factorization of its modulus; a CRT rep that
+    # fails its check exits 2 (tests/test_self_checks.py, under -O)
+    monkeypatch.setattr(ballsearch, "factorize", None)
+    assert run(["delta", "--ring", "Z", "--n", "3"]) == 1
+    monkeypatch.undo()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_witness_lower_verb(capsys):
     assert run(["witness-lower", "--n", "3", "--primes", "2,3,5"]) == 0
     rep = out_json(capsys)

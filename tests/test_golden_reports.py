@@ -123,9 +123,12 @@ GOLDEN = {
     "delta-Fp:2": (0, "36be166c81884dd2dd5ce2ffafd08e9c36ea47471a4b9cee2667828d19bb1a26"),
     "delta-Fp:3": (0, "0b604ecf535b620790bc3af12f995653db175c51001d519d20be08d1a55b8458"),
     "delta-Fp:5": (0, "b7d97c7d7bed59da5bab41e16ef2fceb14d5960b2a27dff8b46c7b1d4f8c987c"),
-    "delta-Zmod:12": (0, "9ce57cf26b72fb2841a41f349b16be1a4a89eafd4e27be531bbe141bbd5599ef"),
+    # delta-Zmod:12 and delta-Zmod:6 run through the prime-power factors: the
+    # witness is the CRT of their least-key reps, ((4, l-1), (1, 0)) in place
+    # of the whole group's least key ((2, l-1), (1, 0))
+    "delta-Zmod:12": (0, "542030e772601af13d37e3fcbf7f0da25fcb450fe060b4bd0d452df77f9148b4"),
     "delta-Zmod:4": (0, "39c63a4fa4989eb70f3161371983a9e591501be910550a7f3deb40be7fb69593"),
-    "delta-Zmod:6": (0, "e955867bf821921c2633bf76d61ed82b0143c3ebea0ccce4d8ed9a5dbfb3b7a6"),
+    "delta-Zmod:6": (0, "995de26aafd8965f0e10ce9b3a00ded038beb9d8847d9ab81d096fe0620e0e12"),
     "delta-sl3-f3": (0, "0ee237086df84605505bae0a1bc3e3885ca9b17a5a398c9d08e658bef2678fe9"),
     "delta-sl3-z9": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "factor-z": (0, "c16ee56e3480d6b82fa8184013d804f2281493d9097268a31dd984b9aa83806d"),

@@ -82,13 +82,13 @@ def test_quotient_bound_walks_levels_once(monkeypatch):
     h = enumerate_group(F2, 2)
     g = product_table([h, h])
     searches = []
-    class_search = ballsearch.ClassTable.search
+    class_search = ballsearch.ClassProduct.search
 
     def counted(*args, **kwargs):
         searches.append(1)
         return class_search(*args, **kwargs)
 
-    monkeypatch.setattr(ballsearch.ClassTable, "search", counted)
+    monkeypatch.setattr(ballsearch.ClassProduct, "search", counted)
     row = check_quotient_bound(g, h)
     assert (row.lhs, row.rhs, row.holds, row.context["n0"]) == (2, 4, True, 2)
     assert len(searches) == 31

@@ -110,3 +110,15 @@ except SelfCheckFailed:
 raise SystemExit("a broken lemma conjugator went unnoticed")
 """)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_crt_rep_check_survives_optimize():
+    # every inverse in the CRT coefficients taken as 1: the reps of SL(2,Z/6)
+    # no longer reduce to the factor reps mod 3, which exits 2
+    proc = run_optimized("""
+from boundgen import ballsearch, cli
+ballsearch.pow = lambda base, exp, mod: 1
+raise SystemExit(cli.run(["delta", "--ring", "Zmod:6", "--n", "2"]))
+""")
+    assert proc.returncode == 2, proc.stderr
+    assert "self-check failed: the CRT rep of class" in proc.stderr
