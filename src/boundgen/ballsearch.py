@@ -6,22 +6,26 @@ row-major; FiniteGroupTable owns the format), so each row of a matrix is one
 base-q^n digit of its key.  All of SL(n, Z/l) is read off those digits by a
 determinant sieve (_sieve_keys), and right multiplication by a letter maps
 each row on its own, so one table per (scalar, letter, row) gives the key of
-any image (_row_tables, _gather).  ball_bfs, the ball of a set S in a whole
-group, is a level-synchronous push/pull BFS (_frontier_levels) over its
-alphabet, the full conjugacy-class closure of S and S^-1, which comes from
-the same conjugation walk (_conjugation_walk) that partitions the group
-into classes.
+any image (_row_tables, _gather).  The conjugation walk (_conjugation_walk)
+that partitions the group into classes steps through two such stacks that
+write each image transposed, so g x g^-1 costs n lookups and n more per
+scalar.
+class_closure, the alphabet conj(S u S^-1) with a conjugator per letter,
+runs the same walk.
 
 Norms are class functions, so searches can run on class tables alone:
 if g in C is on level L, g*a in C' and rep(C) = h*g*h^-1, then
 rep(C)*(h*a*h^-1) lies in C' and h*a*h^-1 is a letter.  So level L+1 is the
 unvisited classes that the reps of level L reach in one letter, read from
-the class product tables (ClassProduct.levels).  By the Chinese remainder
+the class product tables (ClassProduct.levels), and every ball is a class
+search: ball_bfs gives each element the level of its class in the table's
+one ClassTable (FiniteGroupTable.classes).  By the Chinese remainder
 theorem SL(n, Z/l) is the product of its prime-power factors, and a
 ClassProduct holds the ClassTable of each (class_product), so a composite
 l is never enumerated whole: its class step is the Kronecker product of
 the factors' and a class rep is the CRT of theirs.  Delta_k and the ball
-of S on composite l both run on it; a single group is the one-factor case.
+report of S both run on it for every l; a prime power is the one-factor
+case.
 Delta_k ranges over sets of class units (a nontrivial class with the class
 of its inverses); only the minimal hitting sets of the maximal normal
 subgroups' complements are searched.
@@ -46,7 +50,7 @@ from .words import ConjWord, Letter
 
 DENSE_KEY_LIMIT = 2 ** 27
 _SENT = np.uint16(0xFFFF)
-_GATHER_CELLS = 2 ** 17  # cells per numpy block: frontier rows x letters in a gather
+_GATHER_CELLS = 2 ** 17  # cells per numpy block: keys x letters in a gather
 
 
 def sl_order_mod(n: int, l: int) -> int:
@@ -67,9 +71,11 @@ class FiniteGroupTable:
     """All elements of a finite matrix group, interned by positional key.
 
     keys is sorted; the position of a key in it is the element's dense
-    index.  gens generate the group; the conjugation walks step by them.  A
-    psl table identifies M with lam*M for every lam in scalars and holds the
-    member of each coset with the least key; scalars is [1] otherwise.
+    index.  gens generate the group; the conjugation walks step by them,
+    through the conjugation_tables.  A psl table identifies M with lam*M for
+    every lam in scalars and holds the member of each coset with the least
+    key; scalars is [1] otherwise.  classes is the table's ClassTable, built
+    once and read by every ball and Delta_k search on the table.
     BudgetExceeded when the key space q^(n^2) exceeds DENSE_KEY_LIMIT, since
     searches index it densely.
     """
@@ -132,16 +138,34 @@ class FiniteGroupTable:
         return self.key_of(identity(self.n, self.ring).entries)
 
     @cached_property
-    def conjugation_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """x -> g x g^-1 on the flat entries of x for every g in gens: entry e
-        of the image is sum_r coef[g, e, r] * x[src[g, e, r]], the nonzero
-        terms of row e of g kron g^-T, the row operations of g followed by the
-        column operations of g^-1.  An elementary g has at most four."""
-        n = self.n
+    def conjugation_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """x -> g x g^-1 for every g in gens, as two _row_tables stacks whose
+        placement transposes: entry c of row r goes to digit n*c + r (spread
+        moves digit c of a row key to digit n*c, and row r is shifted by
+        q^r), so a _gather gives the key of the product's transpose.  The
+        stack of the g^-1, lam = 1 alone, maps x to (x g^-1)^T; the stack of
+        the g^T maps (x g^-1)^T to canonical(g x g^-1)."""
+        q, n = self.ring.modulus, self.n
         invs = [MatrixSL(n, self.ring, g).inv().entries for g in self.gens]
-        k = np.einsum("gac,gdb->gabcd", np.array(self.gens), np.array(invs)).reshape(-1, n * n, n * n)
-        src = np.argsort(k == 0, axis=2, kind="stable")[:, :, : (k != 0).sum(axis=2).max()]
-        return src, np.take_along_axis(k, src, axis=2)
+        digits = np.arange(q ** n, dtype=np.int32)[:, None] // q ** np.arange(n) % q
+        spread = (digits @ q ** (n * np.arange(n))).astype(np.int32)
+        shift = q ** np.arange(n, dtype=np.int32)[:, None, None]
+        by_inv = _row_tables(self, invs)[:1, 0]
+        by_transpose = _row_tables(self, np.array(self.gens).transpose(0, 2, 1))[:, 0]
+        return spread[by_inv][:, None] * shift, spread[by_transpose][:, None] * shift
+
+    @property
+    def classes(self) -> ClassTable:
+        """The ClassTable of the group (class_table), partitioned once per
+        table.  The table caches the arrays, not the ClassTable, which
+        refers back to the table: that cycle would keep both, index and
+        hits included, until a full garbage collection."""
+        return ClassTable(self, *self._class_arrays)
+
+    @cached_property
+    def _class_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        ct = class_table(self)
+        return ct.index, ct.reps, ct.hits
 
 
 def enumerate_group(ring: RingSpec, n: int, psl: bool = False) -> FiniteGroupTable:
@@ -264,63 +288,6 @@ def _gather(tables: np.ndarray, keys: np.ndarray, q: int, n: int) -> np.ndarray:
     return images
 
 
-def _frontier_levels(
-    table: FiniteGroupTable, letters: list[tuple] | np.ndarray
-) -> tuple[np.ndarray, list[int]]:
-    """Level-synchronous BFS from the identity by right multiplication.
-
-    Returns the dense level array over the key space (_SENT where no word
-    in the letters reaches) and the cumulative element count per level.
-
-    Each step gathers a block of keys against a run of letters at once
-    through the _row_tables (_gather).
-
-    A level pushes or pulls (direction-optimizing BFS: Beamer, Asanovic and
-    Patterson, SC 2012).  A push gathers each frontier element against
-    every letter and marks the unvisited images.  Once fewer elements are
-    unvisited than the frontier holds, the level pulls instead: each
-    unvisited M is on this level iff M*a lies on the previous one for some
-    letter a, and candidates are tested against a slice of
-    _GATHER_CELLS // candidates letters at a time, a hit leaving the
-    candidates.  This needs the alphabet closed under inverses (M = P*a^-1),
-    which every ball alphabet is: class_closure takes S and S^-1.  Both
-    directions fill the same level, so the levels do not depend on which
-    one ran.  A search that does not normally generate never pulls: its
-    unvisited count is at least |G - N| >= |N|, more than any frontier.
-    """
-    q, n = table.ring.modulus, table.n
-    tables = _row_tables(table, letters)
-    block = max(1, _GATHER_CELLS // max(1, len(letters)))
-    levels = np.full(table.key_space, _SENT, dtype=np.uint16)
-    id_key = table.identity_key
-    levels[id_key] = 0
-    frontier = np.array([id_key], dtype=np.int64)
-    growth = [1]
-    level = 0
-    # once a ball search has reached the whole group no level can add to it
-    while frontier.size and growth[-1] != table.order:
-        level += 1
-        if table.order - growth[-1] < frontier.size:
-            cand = table.keys[levels.take(table.keys) == _SENT]
-            start = 0
-            while cand.size and start < tables.shape[-1]:
-                stop = start + max(1, _GATHER_CELLS // cand.size)
-                images = _gather(tables[..., start:stop], cand, q, n)
-                hit = (levels.take(images) == level - 1).any(axis=1)
-                levels[cand[hit]] = level
-                cand, start = cand[~hit], stop
-        else:
-            for start in range(0, frontier.size, block):
-                images = _gather(tables, frontier[start : start + block], q, n)
-                levels[images[levels.take(images) == _SENT]] = level
-        # the new level is read off the group's keys, a tenth of the key
-        # space on SL(3,Z/6)
-        frontier = table.keys[levels.take(table.keys) == level]
-        if frontier.size:
-            growth.append(growth[-1] + int(frontier.size))
-    return levels, growth
-
-
 # ---------------------------------------------------------------------------
 # conjugation-invariant ball BFS
 # ---------------------------------------------------------------------------
@@ -405,20 +372,22 @@ def _conjugation_walk(table: FiniteGroupTable, start_key: int, marks: np.ndarray
     it does not hold mark yet.  Returns the class's keys in visit order, the
     visit position of each key's parent and the index in table.gens of the
     generator that conjugated the parent into it (-1 for start_key).  Each
-    conjugation gathers table.conjugation_terms, no matrix product: for the
-    elementary E_ij(v) that tables step by, one row and one column operation.
+    step gathers the table.conjugation_tables, no matrix product: the keys
+    of the (x g^-1)^T, then n lookups per scalar for canonical(g x g^-1),
+    one fancy index over every generator at once.
     """
     q, n = table.ring.modulus, table.n
-    src, coef = table.conjugation_terms
-    powers = q ** np.arange(n * n, dtype=np.int64)
+    by_inv, by_transpose = table.conjugation_tables
+    gens = np.arange(by_transpose.shape[-1])
     marks[start_key] = mark
     frontier = np.array([start_key], dtype=np.int64)
     keys, parent, via = [frontier], [np.array([-1])], [np.array([-1])]
     start = 0  # visit position of the frontier's first key
     while frontier.size:
-        x = frontier // powers[:, None] % q  # the frontier's entries, one row per entry
-        images = sum(coef[:, :, r, None] * x[src[:, :, r]] for r in range(src.shape[2]))
-        images = table.canonical_keys(images.transpose(0, 2, 1).reshape(-1, n, n) % q)  # generator-major
+        moved = _gather(by_inv, frontier, q, n)  # (x g^-1)^T, one column per generator
+        digits = [moved // q ** (n * r) % q ** n for r in range(n)]
+        images = np.min([sum(t[r][digits[r], gens] for r in range(n)) for t in by_transpose], axis=0)
+        images = images.T.reshape(-1)  # generator-major
         fresh = np.flatnonzero(marks[images] != mark)
         new, first = np.unique(images[fresh], return_index=True)
         marks[new] = mark
@@ -431,10 +400,18 @@ def _conjugation_walk(table: FiniteGroupTable, start_key: int, marks: np.ndarray
 
 
 def ball_bfs(table: FiniteGroupTable, s: list[MatrixSL]) -> BallReport:
-    """Exact word norms for the generating set s."""
+    """Exact word norms for the generating set s: the level of each
+    element's class in the class search of table.classes
+    (ClassProduct.levels), and growth the running count of norms."""
     alphabet = class_closure(table, s)
-    dense, growth = _frontier_levels(table, [e.mat for e in alphabet])
-    return BallReport(table, s, dense[table.keys], growth, alphabet)
+    cp = ClassProduct(table.ring, [table.classes])
+    levels = cp.levels(cp.letters(s))
+    level = np.full(len(cp.sizes), _SENT, dtype=np.uint16)
+    for d, mask in enumerate(levels):
+        level[mask] = d
+    norms = level[table.classes.index[table.keys]]
+    growth = np.cumsum(np.bincount(norms[norms != _SENT])).tolist()
+    return BallReport(table, s, norms, growth, alphabet)
 
 
 def backtrack_word(report: BallReport, target: MatrixSL) -> ConjWord:
@@ -606,13 +583,17 @@ class ClassProduct:
         seen = reduce(or_, levels)
         return (len(levels) - 1 if seen.all() else None), sum(1 << int(i) for i in np.flatnonzero(seen))
 
-    def ball(self, s: list[MatrixSL]) -> tuple[int, int, list[int]]:
-        """The order, the alphabet size and the growth of the ball of s, all
-        class functions: the alphabet conj(S^{+-1}) is the classes of s and
-        s^-1 but the identity's, and growth sums class sizes per level."""
+    def letters(self, s: list[MatrixSL]) -> set[int]:
+        """The classes of s and s^-1 but the identity's: conj(S^{+-1})."""
         if any(g.ring != self.ring or g.n != self.factors[0].table.n for g in s):
             raise RingMismatch("generator ring/dimension differs from the group")
-        letters = {self.class_of(m) for g in s for m in (g, g.inv())} - {self.origin}
+        return {self.class_of(m) for g in s for m in (g, g.inv())} - {self.origin}
+
+    def ball(self, s: list[MatrixSL]) -> tuple[int, int, list[int]]:
+        """The order, the alphabet size and the growth of the ball of s, all
+        class functions: the alphabet size sums the sizes of the letters,
+        and growth sums class sizes per level."""
+        letters = self.letters(s)
         growth = np.cumsum([self.sizes[level].sum() for level in self.levels(letters)])
         return self.order, int(self.sizes[list(letters)].sum()), growth.tolist()
 
@@ -628,7 +609,7 @@ def class_product(ring: RingSpec, n: int, psl: bool) -> ClassProduct:
     rings = [ring]
     if len(ring.maximal_ideals or ()) > 1:  # Z/l with two or more primes; Z never factors
         rings = [RingSpec.residue(p ** e) for p, e in sorted(factorize(ring.modulus).items())]
-    cp = ClassProduct(ring, [class_table(enumerate_group(r, n, psl)) for r in rings])
+    cp = ClassProduct(ring, [enumerate_group(r, n, psl).classes for r in rings])
     expected = sl_order_mod(n, ring.modulus) // len(_scalars(ring, n, psl))
     if cp.order != expected:
         raise SelfCheckFailed(f"factor orders multiply to {cp.order}, closed form gives {expected}")
@@ -766,4 +747,4 @@ def class_delta(cp: ClassProduct, k: int | None) -> DeltaReport:
 
 def delta_exhaustive(table: FiniteGroupTable, k: int | None = 1) -> DeltaReport:
     """class_delta of one group table, the one-factor case."""
-    return class_delta(ClassProduct(table.ring, [class_table(table)]), k)
+    return class_delta(ClassProduct(table.ring, [table.classes]), k)

@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import __version__
-from .ballsearch import ball_bfs, class_delta, class_product, enumerate_group
+from .ballsearch import class_delta, class_product
 from .checks import run_identity_suites
 from .errors import BoundgenError, MalformedInput, SelfCheckFailed, VerificationFailed
 from .factorize import factor_euclid, factor_semilocal
@@ -145,13 +145,7 @@ def cmd_hessenberg(args) -> int:
 def cmd_ball(args) -> int:
     ring = parse_ring(args.ring)
     gens = list(genset_from_json(_load(args.gens)).elements)
-    # a prime power keeps the element BFS, which pays for no class partition
-    if len(ring.maximal_ideals or ()) > 1:
-        order, alphabet, growth = class_product(ring, args.n, args.psl).ball(gens)
-    else:
-        table = enumerate_group(ring, args.n, psl=args.psl)
-        report_b = ball_bfs(table, gens)
-        order, alphabet, growth = table.order, len(report_b.alphabet), report_b.growth
+    order, alphabet, growth = class_product(ring, args.n, args.psl).ball(gens)
     generates = growth[-1] == order
     report = _header(
         args,
@@ -310,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "ball",
-        help="exact ball BFS in a finite group; composite l runs through its "
-        "prime-power factors, so DENSE_KEY_LIMIT applies per factor",
+        help="exact balls in a finite group by a class search; composite l runs "
+        "through its prime-power factors, so DENSE_KEY_LIMIT applies per factor",
     )
     p.add_argument("--ring", required=True)
     p.add_argument("--n", type=int, required=True)

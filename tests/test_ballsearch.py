@@ -1,7 +1,9 @@
+import gc
 import os
 import subprocess
 import sys
 import time
+import weakref
 from collections import Counter
 from math import gcd
 from pathlib import Path
@@ -14,6 +16,7 @@ from boundgen import ballsearch
 from boundgen.ballsearch import (
     ClassProduct,
     FiniteGroupTable,
+    _conjugation_walk,
     _delta_levels,
     backtrack_word,
     ball_bfs,
@@ -288,10 +291,9 @@ def test_delta_sl2_residue_rings(l, k, value):
     assert rpt.attained and rpt.value == value
 
 
-def test_large_unit_pulls_its_last_level():
-    # a 20,736-letter unit of SL(3,Z/6): after two push levels only 4,493
-    # elements are unvisited, against a frontier of 918,258, so the last
-    # level pulls; pushing it expands 918,258 x 20,736 images (over 2 minutes)
+def test_large_unit_ball_on_class_levels():
+    # a 20,736-letter unit of SL(3,Z/6): its ball is read off the class
+    # levels of the group's 72 classes, partition included
     z6 = RingSpec.residue(6)
     table = enumerate_group(z6, 3)
     start = time.perf_counter()
@@ -347,17 +349,19 @@ FACTORED = [(2, l, psl) for l in (6, 10, 12, 14, 15) for psl in (False, True)]
 @pytest.mark.parametrize("n, l, psl", FACTORED + [(3, 6, False), (3, 6, True)])
 def test_factor_ball_matches_the_whole_group(n, l, psl):
     # SL(n, Z/l) is the product of the SL(n, Z/p^e): the class route through
-    # the factors must give the ball of the element BFS on the whole group.
+    # the factors must give the ball of ball_bfs on the whole group, which
+    # reads the levels of the whole group's own classes and gives each
+    # element's norm.
     # With p the largest prime of l, E_12(l/p) is the identity mod every
     # prime power but p's, so alone it does not normally generate, while
     # E_21(p) is the identity mod p alone and the pair does; the identity
     # alone gives an empty alphabet.  Delta_k through the factors must equal
     # delta_exhaustive on the whole group, the one-factor product of its
-    # class table, built once here for every k; a witness set, a CRT rep
+    # class table, built once per table for every k; a witness set, a CRT rep
     # per unit, must have diameter Delta_k in the whole group.
     ring = RingSpec.residue(l)
     table = enumerate_group(ring, n, psl)
-    cp, whole = class_product(ring, n, psl), ClassProduct(ring, [class_table(table)])
+    cp, whole = class_product(ring, n, psl), ClassProduct(ring, [table.classes])
     p = ring.maximal_ideals[-1]
     pair = [elementary(1, 2, l // p, n, ring), elementary(2, 1, p, n, ring)]
     generates = []
@@ -442,6 +446,48 @@ def test_class_closure_conjugators_and_classes(ring, n, psl, gens):
     expected = set(table.keys[np.isin(ct.index[table.keys], ct.index[list(met)])].tolist())
     expected.discard(table.identity_key)
     assert sorted(table.key_of(e.mat) for e in alphabet) == sorted(expected)
+
+
+@pytest.mark.parametrize(
+    "l, n, psl", [(4, 3, False), (2, 4, False), (7, 2, True), (9, 2, True), (7, 3, True)]
+)
+def test_conjugation_walk_steps_conjugate(l, n, psl):
+    # every step of a walk, checked by MatrixSL products and key_of, not by
+    # the walk's row tables: the key at i is g x g^-1 for x the key at
+    # parent[i] and g = table.gens[via[i]].  PSL(2, F7) and PSL(3, F7) have
+    # scalars 1, 2, 4 (cube roots of unity), PSL(2, Z/9) has 1 and 8.  The
+    # walks start at E_1n(1), a transvection (2,736 of them in PSL(3, F7)),
+    # and below 50,000 elements also at E_1n(1) E_n1(1) and at the largest
+    # key; in PSL(3, F7) those classes hold about 10^5 elements each
+    ring = RingSpec.residue(l)
+    table = enumerate_group(ring, n, psl)
+    e = elementary(1, n, 1, n, ring)
+    starts = [e, e * elementary(n, 1, 1, n, ring), table.matrix_at(table.order - 1)]
+    for start in starts if table.order < 50000 else starts[:1]:
+        marks = np.zeros(table.key_space, dtype=bool)
+        keys, parent, via = _conjugation_walk(table, table.key_of(start.entries), marks, True)
+        assert parent[0] == via[0] == -1
+        assert len(set(keys.tolist())) == len(keys) == marks.sum()
+        for i in range(1, len(keys)):
+            x = table.matrix_at(table.index_of_key(int(keys[parent[i]])))
+            g = MatrixSL(n, ring, table.gens[via[i]])
+            assert keys[i] == table.key_of((g * x * g.inv()).entries)
+
+
+def test_cached_class_table_leaves_no_cycle():
+    # the table caches its class arrays; a cached ClassTable would refer
+    # back to the table, and the cycle would keep the key-space index alive
+    # until a full collection, so refcounts alone must free a used table
+    table = enumerate_group(F3, 3)
+    ball_bfs(table, [elementary(1, 3, 1, 3, F3)])
+    assert table.classes.index is table.classes.index
+    ref = weakref.ref(table)
+    gc.disable()
+    try:
+        del table
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_conjugacy_classes_sl2_f59():
