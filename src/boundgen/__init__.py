@@ -7,7 +7,6 @@ from .ballsearch import (
     DeltaReport,
     FiniteGroupTable,
     backtrack_word,
-    ball_bfs,
     delta_exhaustive,
     enumerate_group,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "PrimeSupport",
     "RingSpec",
     "backtrack_word",
-    "ball_bfs",
     "build_lower_witness",
     "class_size_lower",
     "decide_normal_generation",

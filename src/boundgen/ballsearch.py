@@ -11,15 +11,15 @@ that partitions the group into classes steps through two such stacks that
 write each image transposed, so g x g^-1 costs n lookups and n more per
 scalar.
 class_closure, the alphabet conj(S u S^-1) with a conjugator per letter,
-runs the same walk.
+runs the same walk; only backtrack_word needs it.
 
 Norms are class functions, so searches can run on class tables alone:
 if g in C is on level L, g*a in C' and rep(C) = h*g*h^-1, then
 rep(C)*(h*a*h^-1) lies in C' and h*a*h^-1 is a letter.  So level L+1 is the
 unvisited classes that the reps of level L reach in one letter, read from
 the class product tables (ClassProduct.levels), and every ball is a class
-search: ball_bfs gives each element the level of its class in the table's
-one ClassTable (FiniteGroupTable.classes).  By the Chinese remainder
+search: ClassProduct.ball reports the level of each class (BallReport),
+and an element's norm is the level of its class.  By the Chinese remainder
 theorem SL(n, Z/l) is the product of its prime-power factors, and a
 ClassProduct holds the ClassTable of each (class_product), so a composite
 l is never enumerated whole: its class step is the Kronecker product of
@@ -122,12 +122,6 @@ class FiniteGroupTable:
         q = self.ring.modulus
         flat = [v for row in m for v in row]
         return min(sum(v * lam % q * q ** i for i, v in enumerate(flat)) for lam in self.scalars)
-
-    def index_of_key(self, key: int) -> int:
-        pos = int(np.searchsorted(self.keys, key))
-        if pos >= self.keys.size or self.keys[pos] != key:
-            raise KeyError(f"key {key} is not a group element")
-        return pos
 
     def matrix_at(self, index: int) -> MatrixSL:
         mat = self.decode(self.keys[index : index + 1])[0]
@@ -289,7 +283,7 @@ def _gather(tables: np.ndarray, keys: np.ndarray, q: int, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# conjugation-invariant ball BFS
+# ball reports and the conjugation walk
 # ---------------------------------------------------------------------------
 
 
@@ -305,38 +299,56 @@ class AlphabetEntry:
 
 @dataclass
 class BallReport:
-    """Exact norms of every group element with respect to conj(S^{+-1}).
+    """The ball of S in a ClassProduct: word norms over conj(S^{+-1}).
 
-    norms is aligned with table.keys; 0xFFFF marks elements outside the
-    normal closure (norm infinity).  diameter is None when S does not
-    normally generate.  A matrix outside the group raises KeyError.
+    Norms are class functions: level holds the norm of each class of cp
+    (_SENT off the normal closure) and letters the classes of S u S^-1 but
+    the identity's.  growth sums class sizes per level, alphabet the
+    letters' sizes, and norm_of(m) is the level of m's class (KeyError off
+    the group).  diameter is None when S does not normally generate.
     """
 
-    table: FiniteGroupTable
+    cp: ClassProduct
     genset: list[MatrixSL]
-    norms: np.ndarray
-    growth: list[int]
-    alphabet: list[AlphabetEntry]
+    letters: set[int]
+    level: np.ndarray
+
+    @property
+    def growth(self) -> list[int]:
+        reached = self.level != _SENT
+        sizes = [self.cp.sizes[self.level == d].sum() for d in range(self.level[reached].max() + 1)]
+        return np.cumsum(sizes).tolist()
+
+    @property
+    def alphabet(self) -> int:
+        return int(self.cp.sizes[list(self.letters)].sum())
 
     @property
     def reached(self) -> int:
-        return int((self.norms != _SENT).sum())
+        return int(self.cp.sizes[self.level != _SENT].sum())
 
     @property
     def normally_generates(self) -> bool:
-        return self.reached == self.table.order
+        return self.reached == self.cp.order
 
     @property
     def diameter(self) -> int | None:
-        return int(self.norms.max()) if self.normally_generates else None
+        return int(self.level.max()) if self.normally_generates else None
+
+    @property
+    def norms(self) -> np.ndarray:
+        """The norm of every element of a one-factor report, aligned with table.keys."""
+        (ct,) = self.cp.factors
+        return self.level[ct.index[ct.table.keys]]
 
     def norm_of(self, m: MatrixSL) -> int | None:
-        v = self.norms[self.table.index_of_key(self.table.key_of(m.entries))]
+        v = self.level[self.cp.class_of(m)]
         return None if v == _SENT else int(v)
 
 
 def class_closure(table: FiniteGroupTable, s: list[MatrixSL]) -> list[AlphabetEntry]:
-    """conj_G(S^{+-1}) with a conjugator recorded per element.
+    """conj_G(S^{+-1}) with a conjugator recorded per element, for an S of
+    group elements (ClassProduct.letters checks them).
 
     One conjugation walk per class met; each conjugator is the walk's
     generator times its parent's conjugator.  The identity never enters the
@@ -348,9 +360,6 @@ def class_closure(table: FiniteGroupTable, s: list[MatrixSL]) -> list[AlphabetEn
     seen[table.identity_key] = True
     entries: dict[int, AlphabetEntry] = {}
     for gi, mat in enumerate(s):
-        if mat.ring != table.ring or mat.n != table.n:
-            raise RingMismatch("generator ring/dimension differs from the table")
-        table.index_of_key(table.key_of(mat.entries))  # KeyError for a non-member
         for exp in (1, -1):
             key = table.key_of(mat.entries if exp == 1 else mat.inv().entries)
             if seen[key]:
@@ -399,40 +408,27 @@ def _conjugation_walk(table: FiniteGroupTable, start_key: int, marks: np.ndarray
     return np.concatenate(keys), np.concatenate(parent), np.concatenate(via)
 
 
-def ball_bfs(table: FiniteGroupTable, s: list[MatrixSL]) -> BallReport:
-    """Exact word norms for the generating set s: the level of each
-    element's class in the class search of table.classes
-    (ClassProduct.levels), and growth the running count of norms."""
-    alphabet = class_closure(table, s)
-    cp = ClassProduct(table.ring, [table.classes])
-    levels = cp.levels(cp.letters(s))
-    level = np.full(len(cp.sizes), _SENT, dtype=np.uint16)
-    for d, mask in enumerate(levels):
-        level[mask] = d
-    norms = level[table.classes.index[table.keys]]
-    growth = np.cumsum(np.bincount(norms[norms != _SENT])).tolist()
-    return BallReport(table, s, norms, growth, alphabet)
-
-
 def backtrack_word(report: BallReport, target: MatrixSL) -> ConjWord:
     """A word of exactly ||target|| letters replaying to the target element.
 
-    Walks the BFS levels down through the alphabet.  conj(S^{+-1}) is closed
-    under inverses, so stepping to cur * entry.mat peels off the letter
-    entry.mat^{-1}.  For psl tables the letters multiply to the target only
-    up to a scalar.
+    Walks the class levels of a one-factor report down through its alphabet,
+    class_closure of its genset.  conj(S^{+-1}) is closed under inverses, so
+    stepping to cur * entry.mat peels off the letter entry.mat^{-1}.  For
+    psl tables the letters multiply to the target only up to a scalar.
     """
-    table = report.table
-    q = table.ring.modulus
-    cur = target.entries
-    d = report.norms[table.index_of_key(table.key_of(cur))]
-    if d == _SENT:
+    d = report.norm_of(target)
+    if d is None:
         raise KeyError("target is outside the normal closure")
+    (ct,) = report.cp.factors
+    table = ct.table
+    q = table.ring.modulus
+    alphabet = class_closure(table, report.genset)
+    cur = target.entries
     letters: list[Letter] = []
-    for level in range(int(d), 0, -1):
-        for entry in report.alphabet:
+    for level in range(d, 0, -1):
+        for entry in alphabet:
             prev = _mul_entries(cur, entry.mat, q)
-            if report.norms[table.index_of_key(table.key_of(prev))] == level - 1:
+            if report.level[ct.index[table.key_of(prev)]] == level - 1:
                 letters.append(
                     Letter(entry.gen, -entry.exp, MatrixSL(table.n, table.ring, entry.conj))
                 )
@@ -544,8 +540,11 @@ class ClassProduct:
         return tuple(sorted({i, int(np.ravel_multi_index(inv, self.shape))}))
 
     def class_of(self, m: MatrixSL) -> int:
-        """The class of m, reduced into every factor (key_of reduces mod p^e)."""
+        """The class of m, reduced into every factor (key_of reduces mod p^e);
+        KeyError when m is not a group element."""
         coords = [ct.index[ct.table.key_of(m.entries)] for ct in self.factors]
+        if _SENT in coords:
+            raise KeyError(f"{m.entries} is not a group element")
         return int(np.ravel_multi_index(coords, self.shape))
 
     def rep(self, i: int) -> MatrixSL:
@@ -589,13 +588,13 @@ class ClassProduct:
             raise RingMismatch("generator ring/dimension differs from the group")
         return {self.class_of(m) for g in s for m in (g, g.inv())} - {self.origin}
 
-    def ball(self, s: list[MatrixSL]) -> tuple[int, int, list[int]]:
-        """The order, the alphabet size and the growth of the ball of s, all
-        class functions: the alphabet size sums the sizes of the letters,
-        and growth sums class sizes per level."""
+    def ball(self, s: list[MatrixSL]) -> BallReport:
+        """The ball of s: the level of each class in the search over its letters."""
         letters = self.letters(s)
-        growth = np.cumsum([self.sizes[level].sum() for level in self.levels(letters)])
-        return self.order, int(self.sizes[list(letters)].sum()), growth.tolist()
+        level = np.full(len(self.sizes), _SENT, dtype=np.uint16)
+        for d, mask in enumerate(self.levels(letters)):
+            level[mask] = d
+        return BallReport(self, s, letters, level)
 
 
 def class_product(ring: RingSpec, n: int, psl: bool) -> ClassProduct:

@@ -145,24 +145,23 @@ def cmd_hessenberg(args) -> int:
 def cmd_ball(args) -> int:
     ring = parse_ring(args.ring)
     gens = list(genset_from_json(_load(args.gens)).elements)
-    order, alphabet, growth = class_product(ring, args.n, args.psl).ball(gens)
-    generates = growth[-1] == order
+    rpt = class_product(ring, args.n, args.psl).ball(gens)
     report = _header(
         args,
         ring=ring_to_json(ring),
         n=args.n,
         psl=args.psl,
-        order=order,
-        alphabet=alphabet,
-        reached=growth[-1],
-        normally_generates=generates,
-        diameter=len(growth) - 1 if generates else None,
-        growth=growth,
+        order=rpt.cp.order,
+        alphabet=rpt.alphabet,
+        reached=rpt.reached,
+        normally_generates=rpt.normally_generates,
+        diameter=rpt.diameter,
+        growth=rpt.growth,
     )
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("radius,ball_size\n")
-            for d, size in enumerate(growth):
+            for d, size in enumerate(report["growth"]):
                 fh.write(f"{d},{size}\n")
     _emit(report, args)
     return 0

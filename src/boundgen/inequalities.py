@@ -18,8 +18,8 @@ from .ballsearch import (
     ClassProduct,
     DeltaReport,
     FiniteGroupTable,
+    _SENT,
     _delta_levels,
-    ball_bfs,
     delta_exhaustive,
     enumerate_group,
 )
@@ -41,13 +41,6 @@ class CheckRow:
     def __str__(self):
         mark = "ok" if self.holds else "VIOLATED"
         return f"{self.name}: {self.lhs} {self.relation} {self.rhs} [{mark}]"
-
-
-def _reduce_keys(table_g: FiniteGroupTable, table_h: FiniteGroupTable, keys) -> np.ndarray:
-    """Map element keys of G to keys of H by entrywise modulus reduction."""
-    qh = table_h.ring.modulus
-    mats = table_g.decode(np.asarray(keys, dtype=np.int64)) % qh
-    return table_h.canonical_keys(mats)
 
 
 def check_quotient_bound(
@@ -140,22 +133,31 @@ def _reduction_balls(
     table_g: FiniteGroupTable, table_h: FiniteGroupTable, s: list[MatrixSL]
 ) -> tuple[BallReport, BallReport]:
     """The ball searches for s in G and for its reduction psi(s) in H."""
-    return ball_bfs(table_g, s), ball_bfs(table_h, [reduce_ring(m, table_h.ring) for m in s])
+    cp_g = ClassProduct(table_g.ring, [table_g.classes])
+    cp_h = ClassProduct(table_h.ring, [table_h.classes])
+    return cp_g.ball(s), cp_h.ball([reduce_ring(m, table_h.ring) for m in s])
+
+
+def _image_classes(rpt_g: BallReport, rpt_h: BallReport) -> np.ndarray:
+    """img[i]: the class of H that the reduction psi maps class i of G onto,
+    that of its rep's image: psi is onto, so psi(h g h^-1) runs over the
+    class of psi(g)."""
+    cp_g, cp_h = rpt_g.cp, rpt_h.cp
+    return np.array([cp_h.class_of(reduce_ring(cp_g.rep(i), cp_h.ring)) for i in range(len(cp_g.sizes))])
 
 
 def check_ball_image(rpt_g: BallReport, rpt_h: BallReport) -> CheckRow:
     """Image of B_S(d) under reduction equals the ball of the reduced set, per level.
 
-    rpt_g is the search for s in G and rpt_h the one for psi(s) in H.
+    rpt_g is the search for s in G and rpt_h the one for psi(s) in H.  Balls
+    are unions of classes, so the image of B_S(d) is the union of the image
+    classes of its classes.
     """
-    table_g, table_h = rpt_g.table, rpt_h.table
+    img = _image_classes(rpt_g, rpt_h)
     dmax = max(len(rpt_g.growth), len(rpt_h.growth)) - 1  # the last level of either ball
     holds = True
     for d in range(dmax + 1):
-        keys_g = table_g.keys[rpt_g.norms <= d]
-        img = set(_reduce_keys(table_g, table_h, keys_g).tolist())
-        ball_h = set(table_h.keys[rpt_h.norms <= d].tolist())
-        if img != ball_h:
+        if set(img[rpt_g.level <= d].tolist()) != set(np.flatnonzero(rpt_h.level <= d).tolist()):
             holds = False
             break
     return CheckRow(
@@ -190,8 +192,9 @@ def check_class_size_bound(table: FiniteGroupTable, d1: DeltaReport) -> list[Che
 
 
 def check_norm_axioms(rpt: BallReport) -> CheckRow:
-    """Norm axioms and conjugation invariance, exhaustively on a small group."""
-    table = rpt.table
+    """Norm axioms and conjugation invariance, exhaustively on one small group."""
+    (ct,) = rpt.cp.factors
+    table = ct.table
     if table.order > 600:
         raise ValueError("exhaustive axiom check is for small groups")
     mats = [table.matrix_at(i) for i in range(table.order)]
@@ -212,8 +215,9 @@ def check_norm_axioms(rpt: BallReport) -> CheckRow:
 
 
 def check_ball_multiplicativity(rpt: BallReport) -> CheckRow:
-    """B_S(a) * B_S(b) == B_S(a+b) set-wise, all level pairs, on a small group."""
-    table = rpt.table
+    """B_S(a) * B_S(b) == B_S(a+b) set-wise, all level pairs, on one tiny group."""
+    (ct,) = rpt.cp.factors
+    table = ct.table
     if table.order > 100:
         raise ValueError("set-wise ball products are for tiny groups")
     levels = len(rpt.growth) - 1
@@ -234,16 +238,13 @@ def check_ball_multiplicativity(rpt: BallReport) -> CheckRow:
 def check_lipschitz(rpt_g: BallReport, rpt_h: BallReport) -> CheckRow:
     """nu(psi(g)) <= C ||g||_S with C = max nu(psi(s)), psi the reduction map.
 
-    rpt_g is the search for s in G and rpt_h the one for psi(s) in H.
+    rpt_g is the search for s in G and rpt_h the one for psi(s) in H.  Both
+    norms are class functions, so each class of G is compared once, with
+    its image class.
     """
-    table_g, table_h = rpt_g.table, rpt_h.table
     c = max(rpt_h.norm_of(m) for m in rpt_h.genset)
-    img_keys = _reduce_keys(table_g, table_h, table_g.keys)
-    norms_h = rpt_h.norms[np.searchsorted(table_h.keys, img_keys)]
-    ok = all(
-        norm_g == 0xFFFF or norm_h <= c * norm_g
-        for norm_h, norm_g in zip(norms_h.tolist(), rpt_g.norms.tolist())
-    )
+    norm_h = rpt_h.level[_image_classes(rpt_g, rpt_h)].tolist()
+    ok = all(g == _SENT or h <= c * g for h, g in zip(norm_h, rpt_g.level.tolist()))
     return CheckRow(
         "Lipschitz: nu(psi(g)) <= C ||g||_S",
         "max slack",
@@ -345,7 +346,7 @@ def run_small_suite() -> list[CheckRow]:
     rows.append(check_ball_image(*reduction))
     rows.append(check_lipschitz(*reduction))
 
-    nu = ball_bfs(s3, [elementary(1, 2, 1, 2, f2)])
+    nu = ClassProduct(f2, [s3.classes]).ball([elementary(1, 2, 1, 2, f2)])
     rows.append(check_norm_axioms(nu))
     rows.append(check_ball_multiplicativity(nu))
     rows.append(check_nonsqueezing(d1, nu))

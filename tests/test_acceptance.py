@@ -6,7 +6,7 @@ stated wall-clock limits are asserted as part of the criterion.
 
 import time
 
-from boundgen.ballsearch import ball_bfs, delta_exhaustive, enumerate_group
+from boundgen.ballsearch import ClassProduct, delta_exhaustive, enumerate_group
 from boundgen.checks import run_double_commutator_suite, run_steinberg_suite
 from boundgen.factorize import factor_semilocal
 from boundgen.ideals import decide_normal_generation, pi_support
@@ -132,7 +132,7 @@ def test_criterion_6_finite_quotient_cross_check():
     z6 = RingSpec.residue(6)
     table = enumerate_group(z6, 3)
     s = [elementary(1, 3, 3, 3, z6), elementary(1, 3, 2, 3, z6)]
-    rpt = ball_bfs(table, s)
+    rpt = ClassProduct(z6, [table.classes]).ball(s)
     upper = delta_upper(3, 2, "residue", l=6).value
     ok = rpt.normally_generates
     ok = ok and 2 <= rpt.diameter <= min(48, upper)

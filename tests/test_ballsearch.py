@@ -19,7 +19,6 @@ from boundgen.ballsearch import (
     _conjugation_walk,
     _delta_levels,
     backtrack_word,
-    ball_bfs,
     class_closure,
     class_delta,
     class_product,
@@ -30,7 +29,13 @@ from boundgen.ballsearch import (
 )
 from boundgen.cli import run
 from boundgen.errors import BudgetExceeded, RingMismatch, SelfCheckFailed
-from boundgen.inequalities import product_table
+from boundgen.inequalities import (
+    _image_classes,
+    _reduction_balls,
+    check_ball_image,
+    check_lipschitz,
+    product_table,
+)
 from boundgen.matrices import MatrixSL, elementary, embed_block, identity
 from boundgen.rand import SplitMix64
 from boundgen.rings import RingSpec
@@ -41,6 +46,11 @@ F2 = RingSpec.prime_field(2)
 F3 = RingSpec.prime_field(3)
 Z2 = RingSpec.residue(2)
 Z4 = RingSpec.residue(4)
+
+
+def whole_ball(table, s):
+    """The ball of s in one whole group table: its one-factor ClassProduct."""
+    return ClassProduct(table.ring, [table.classes]).ball(s)
 
 
 @pytest.fixture(scope="module")
@@ -136,8 +146,8 @@ def test_associativity_sampled(s3):
 
 def test_transposition_class_and_diameter(s3):
     e = elementary(1, 2, 1, 2, F2)
-    rpt = ball_bfs(s3, [e])
-    assert len(rpt.alphabet) == 3  # the three transpositions of S3
+    rpt = whole_ball(s3, [e])
+    assert rpt.alphabet == 3  # the three transpositions of S3
     assert rpt.diameter == 2
     assert rpt.growth == [1, 4, 6]
     assert rpt.normally_generates
@@ -145,7 +155,7 @@ def test_transposition_class_and_diameter(s3):
 
 def test_ball_zero_is_identity(s3):
     e = elementary(1, 2, 1, 2, F2)
-    rpt = ball_bfs(s3, [e])
+    rpt = whole_ball(s3, [e])
     assert rpt.growth[0] == 1
     assert rpt.norm_of(identity(2, F2)) == 0
 
@@ -153,7 +163,7 @@ def test_ball_zero_is_identity(s3):
 def test_nongenerating_set(s3):
     # a 3-cycle generates only the alternating subgroup
     m = elementary(1, 2, 1, 2, F2) * elementary(2, 1, 1, 2, F2)
-    rpt = ball_bfs(s3, [m])
+    rpt = whole_ball(s3, [m])
     assert not rpt.normally_generates
     assert rpt.diameter is None
     assert rpt.reached == 3
@@ -163,7 +173,7 @@ def test_lookups_outside_the_closure_and_outside_the_group(s3):
     # S3 x S3 searched from the first factor's E_12(1): the second factor's
     # E_12(1) has no norm, and E_13(1) is not an element at all
     prod = product_table([s3, s3])
-    rpt = ball_bfs(prod, [embed_block(elementary(1, 2, 1, 2, F2), (1, 2), 4)])
+    rpt = whole_ball(prod, [embed_block(elementary(1, 2, 1, 2, F2), (1, 2), 4)])
     other = embed_block(elementary(1, 2, 1, 2, F2), (3, 4), 4)
     assert rpt.norm_of(other) is None
     with pytest.raises(KeyError, match="outside the normal closure"):
@@ -177,7 +187,7 @@ def test_lookups_outside_the_closure_and_outside_the_group(s3):
 
 def test_norm_axioms_exhaustive(s3):
     e = elementary(1, 2, 1, 2, F2)
-    rpt = ball_bfs(s3, [e])
+    rpt = whole_ball(s3, [e])
     mats = [s3.matrix_at(i) for i in range(s3.order)]
     for g in mats:
         ng = rpt.norm_of(g)
@@ -196,7 +206,7 @@ def test_backtrack_words_replay(sl32):
         (sl32, elementary(1, 2, 1, 3, F2)),
         (enumerate_group(f5, 2), elementary(1, 2, 1, 2, f5)),
     ):
-        rpt = ball_bfs(table, [e])
+        rpt = whole_ball(table, [e])
         gens = GenSet((e,))
         rng = SplitMix64(181)
         for _ in range(50):
@@ -214,7 +224,7 @@ def test_psl_backtrack_words_replay_modulo_scalars(p):
     ring = RingSpec.prime_field(p)
     table = enumerate_group(ring, 2, psl=True)
     e = elementary(1, 2, 1, 2, ring)
-    rpt = ball_bfs(table, [e])
+    rpt = whole_ball(table, [e])
     gens = GenSet((e,))
     for idx in range(table.order):
         m = table.matrix_at(idx)
@@ -224,7 +234,7 @@ def test_psl_backtrack_words_replay_modulo_scalars(p):
 
 
 def test_sl32_diameter_bound(sl32):
-    rpt = ball_bfs(sl32, [elementary(1, 2, 1, 3, F2)])
+    rpt = whole_ball(sl32, [elementary(1, 2, 1, 3, F2)])
     assert rpt.normally_generates
     assert rpt.diameter <= 24  # 12(n-1) with one generator
 
@@ -297,9 +307,9 @@ def test_large_unit_ball_on_class_levels():
     z6 = RingSpec.residue(6)
     table = enumerate_group(z6, 3)
     start = time.perf_counter()
-    rpt = ball_bfs(table, [MatrixSL(3, z6, ((0, 0, 1), (1, 0, 0), (0, 1, 5)))])
+    rpt = whole_ball(table, [MatrixSL(3, z6, ((0, 0, 1), (1, 0, 0), (0, 1, 5)))])
     assert time.perf_counter() - start < 60
-    assert len(rpt.alphabet) == 20736
+    assert rpt.alphabet == 20736
     assert rpt.growth == [1, 20737, 938995, 943488]
 
 
@@ -349,9 +359,9 @@ FACTORED = [(2, l, psl) for l in (6, 10, 12, 14, 15) for psl in (False, True)]
 @pytest.mark.parametrize("n, l, psl", FACTORED + [(3, 6, False), (3, 6, True)])
 def test_factor_ball_matches_the_whole_group(n, l, psl):
     # SL(n, Z/l) is the product of the SL(n, Z/p^e): the class route through
-    # the factors must give the ball of ball_bfs on the whole group, which
-    # reads the levels of the whole group's own classes and gives each
-    # element's norm.
+    # the factors must give the ball of the whole group's own classes, its
+    # alphabet the size of the class closure, and the norm of every element
+    # (n = 2) or of 200 seeded ones (n = 3) that of the whole table.
     # With p the largest prime of l, E_12(l/p) is the identity mod every
     # prime power but p's, so alone it does not normally generate, while
     # E_21(p) is the identity mod p alone and the pair does; the identity
@@ -364,11 +374,19 @@ def test_factor_ball_matches_the_whole_group(n, l, psl):
     cp, whole = class_product(ring, n, psl), ClassProduct(ring, [table.classes])
     p = ring.maximal_ideals[-1]
     pair = [elementary(1, 2, l // p, n, ring), elementary(2, 1, p, n, ring)]
+    rng = SplitMix64(191)
+    sample = range(table.order) if n == 2 else [rng.randint(0, table.order - 1) for _ in range(200)]
     generates = []
     for s in (pair, pair[:1], [identity(n, ring)]):
-        rpt = ball_bfs(table, s)
-        assert cp.ball(s) == (table.order, len(rpt.alphabet), rpt.growth)
-        generates.append(rpt.normally_generates)
+        got, want = cp.ball(s), whole.ball(s)
+        assert got.cp.order == table.order
+        assert (got.growth, got.alphabet, got.diameter) == (want.growth, want.alphabet, want.diameter)
+        assert got.alphabet == len(class_closure(table, s))
+        norms = want.norms
+        for i in sample:
+            v = norms[i]
+            assert got.norm_of(table.matrix_at(i)) == (None if v == 0xFFFF else v)
+        generates.append(got.normally_generates)
     assert generates == [True, False, False]
     diameters = {}
     for k in (1, 2, 3, None):
@@ -377,28 +395,63 @@ def test_factor_ball_matches_the_whole_group(n, l, psl):
         assert fields[0] == fields[1], k
         witness = tuple(got.witness)
         if witness not in diameters:
-            diameters[witness] = ball_bfs(table, list(witness)).diameter
+            diameters[witness] = whole_ball(table, list(witness)).diameter
         assert diameters[witness] == got.value, k
 
 
-def test_quotient_ball_compat(sl24):
-    # reduction maps level sets onto level sets
-    h = enumerate_group(Z2, 2)
-    s = [elementary(1, 2, 1, 2, Z4)]
-    rpt_g = ball_bfs(sl24, s)
-    s_red = [elementary(1, 2, 1, 2, Z2)]
-    rpt_h = ball_bfs(h, s_red)
-    for d in range(rpt_g.diameter + 1):
-        keys_g = sl24.keys[rpt_g.norms <= d]
-        mats = sl24.decode(keys_g) % 2
-        img = set(h.canonical_keys(mats).tolist())
-        ball_h = set(h.keys[rpt_h.norms <= d].tolist())
-        assert img == ball_h
+def test_norm_of_past_the_key_limit():
+    # SL(3, Z/10) has 10^9 keys, so no whole table: its norms are the class
+    # levels read through SL(3, F2) x SL(3, F5).  On 20 seeded products of
+    # elementary matrices they must be conjugation invariant, symmetric and
+    # subadditive
+    z10 = RingSpec.residue(10)
+    rpt = class_product(z10, 3, False).ball([elementary(1, 2, 2, 3, z10), elementary(2, 1, 5, 3, z10)])
+    assert rpt.normally_generates
+    rng = SplitMix64(193)
+    mats = []
+    for _ in range(20):
+        m = identity(3, z10)
+        for _ in range(8):
+            i, j = rng.randint(1, 3), rng.randint(1, 2)
+            m = m * elementary(i, j + (j >= i), rng.randint(1, 9), 3, z10)
+        mats.append(m)
+    norms = [rpt.norm_of(m) for m in mats]
+    assert len(set(norms)) > 1
+    for g, ng in zip(mats, norms):
+        assert rpt.norm_of(g.inv()) == ng
+        for h, nh in zip(mats, norms):
+            assert rpt.norm_of(h * g * h.inv()) == ng
+            assert rpt.norm_of(g * h) <= ng + nh
+
+
+# SL(n, Z/l) -> SL(n, R) by reduction mod m: (l, R, n)
+REDUCTIONS = [(4, Z2, 2), (4, F2, 3), (9, F3, 2), (8, Z4, 2)]
+
+
+@pytest.mark.parametrize("l, ring_h, n", REDUCTIONS, ids=["sl2-z4-z2", "sl3-z4-f2", "sl2-z9-f3", "sl2-z8-z4"])
+def test_quotient_ball_compat(l, ring_h, n):
+    # reduction maps level sets onto level sets, and the image of g has norm
+    # at most C ||g|| for C the largest norm of a reduced generator: both
+    # checked element by element, as the reference of the class-level
+    # check_ball_image and check_lipschitz rows, which must hold too.  Their
+    # class map sends the class of each element to the class of its image
+    g, h = enumerate_group(RingSpec.residue(l), n), enumerate_group(ring_h, n)
+    rpt_g, rpt_h = _reduction_balls(g, h, [elementary(1, 2, 1, n, g.ring)])
+    assert rpt_g.normally_generates
+    norms_g, norms_h = rpt_g.norms, rpt_h.norms
+    img = h.canonical_keys(g.decode(g.keys) % ring_h.modulus)
+    assert (_image_classes(rpt_g, rpt_h)[g.classes.index[g.keys]] == h.classes.index[img]).all()
+    for d in range(len(rpt_g.growth)):
+        assert set(img[norms_g <= d].tolist()) == set(h.keys[norms_h <= d].tolist())
+    c = max(rpt_h.norm_of(m) for m in rpt_h.genset)
+    assert (norms_h[np.searchsorted(h.keys, img)] <= c * norms_g.astype(int)).all()
+    assert check_ball_image(rpt_g, rpt_h).holds
+    assert check_lipschitz(rpt_g, rpt_h).holds
 
 
 def test_ball_multiplicativity_setwise(s3):
     e = elementary(1, 2, 1, 2, F2)
-    rpt = ball_bfs(s3, [e])
+    rpt = whole_ball(s3, [e])
     mats_by_level = {
         d: [s3.matrix_at(int(i)) for i in np.flatnonzero(rpt.norms <= d)]
         for d in range(rpt.diameter + 1)
@@ -416,13 +469,17 @@ def test_ball_multiplicativity_setwise(s3):
 def test_class_closure_membership_error(s3):
     z6 = RingSpec.residue(6)
     with pytest.raises(RingMismatch):
-        ball_bfs(s3, [elementary(1, 2, 1, 2, z6)])
+        whole_ball(s3, [elementary(1, 2, 1, 2, z6)])
 
 
 def test_ball_non_member_raises_key_error(s3):
     # E_13(1) is not block diagonal, so not in S3 x S3 in SL(4,F2)
+    prod = product_table([s3, s3])
+    cp = ClassProduct(F2, [prod.classes])
+    with pytest.raises(KeyError, match="not a group element"):
+        cp.class_of(elementary(1, 3, 1, 4, F2))
     with pytest.raises(KeyError):
-        ball_bfs(product_table([s3, s3]), [elementary(1, 3, 1, 4, F2)])
+        cp.ball([elementary(1, 3, 1, 4, F2)])
 
 
 @pytest.mark.parametrize(
@@ -469,7 +526,7 @@ def test_conjugation_walk_steps_conjugate(l, n, psl):
         assert parent[0] == via[0] == -1
         assert len(set(keys.tolist())) == len(keys) == marks.sum()
         for i in range(1, len(keys)):
-            x = table.matrix_at(table.index_of_key(int(keys[parent[i]])))
+            x = table.matrix_at(int(np.searchsorted(table.keys, keys[parent[i]])))
             g = MatrixSL(n, ring, table.gens[via[i]])
             assert keys[i] == table.key_of((g * x * g.inv()).entries)
 
@@ -479,7 +536,7 @@ def test_cached_class_table_leaves_no_cycle():
     # back to the table, and the cycle would keep the key-space index alive
     # until a full collection, so refcounts alone must free a used table
     table = enumerate_group(F3, 3)
-    ball_bfs(table, [elementary(1, 3, 1, 3, F3)])
+    whole_ball(table, [elementary(1, 3, 1, 3, F3)])
     assert table.classes.index is table.classes.index
     ref = weakref.ref(table)
     gc.disable()

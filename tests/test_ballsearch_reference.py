@@ -22,7 +22,6 @@ from boundgen import ballsearch
 from boundgen.ballsearch import (
     ClassProduct,
     FiniteGroupTable,
-    ball_bfs,
     class_delta,
     class_table,
     delta_exhaustive,
@@ -262,11 +261,11 @@ def test_class_table_matches_reference(group, monkeypatch):
 
 def test_balls_match_reference(group):
     table, ref = group
-    reps = [table.matrix_at(table.index_of_key(k)) for k, _ in ref.classes()]
+    reps = [table.matrix_at(int(np.searchsorted(table.keys, k))) for k, _ in ref.classes()]
     # every single class rep, generating or not, and one two-element set
     sets = [[r] for r in reps] + [[reps[1], reps[-1]]]
     for s in sets:
-        rpt = ball_bfs(table, s)
+        rpt = ClassProduct(table.ring, [table.classes]).ball(s)
         growth, norms = ref.ball([m.entries for m in s])
         assert rpt.growth == growth
         assert rpt.norms.tolist() == norms
@@ -340,7 +339,7 @@ def test_sl33_ball_matches_reference(sl33):
     # the reference's class partition is O(|G|^2), so only one ball is compared here
     table, ref = sl33
     e13 = ((1, 0, 1), (0, 1, 0), (0, 0, 1))
-    rpt = ball_bfs(table, [MatrixSL(3, F3, e13)])
+    rpt = ClassProduct(F3, [table.classes]).ball([MatrixSL(3, F3, e13)])
     growth, norms = ref.ball([e13])
     assert rpt.growth == growth
     assert rpt.norms.tolist() == norms

@@ -46,8 +46,10 @@ def unread_functions(paths: list[Path]) -> dict[str, str]:
 
     A reference inside the definition's own body (recursion) does not
     count; a call, an attribute read or a name passed along anywhere else
-    does.  A method counts as read when its name is read on any receiver.
-    Dunder methods are called by the language and are left out.
+    does.  A method counts as read when its name is read on any receiver,
+    so a method name that two classes define is pinned below
+    (test_shared_method_names_are_pinned).  Dunder methods are called by
+    the language and are left out.
     """
     defined, used = {}, set()
     for path in paths:
@@ -99,6 +101,33 @@ def test_methods_are_read():
     files = sorted((ROOT / "src").rglob("*.py"))
     unread = unread_functions(files)
     assert sorted(hit for name, hit in unread.items() if "." in name and name not in READ_OUTSIDE_SRC) == []
+
+
+def shared_method_names(paths: list[Path]) -> dict[str, list[str]]:
+    """The non-dunder method names defined in two or more module-level
+    classes, each with the classes that define it."""
+    owners: dict[str, list[str]] = {}
+    for path in paths:
+        for top in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(top, ast.ClassDef):
+                for stmt in top.body:
+                    if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("__"):
+                        owners.setdefault(stmt.name, []).append(top.name)
+    return {name: classes for name, classes in owners.items() if len(classes) > 1}
+
+
+# unread_functions cannot tell these methods apart, so reading one counts
+# for every class that defines the name; a change that removes one of the
+# two definitions lowers the pin, and one that must share a new name adds
+# it and says why in CHANGES.md
+SHARED_METHOD_NAMES = {"normally_generates", "order", "origin", "sizes", "verify"}
+
+
+def test_shared_method_names_are_pinned():
+    # a method left behind under a name that another class still reads
+    # passes the dead-code scan, so no new name may be shared
+    shared = shared_method_names(sorted((ROOT / "src").rglob("*.py")))
+    assert set(shared) == SHARED_METHOD_NAMES, shared
 
 
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*$")

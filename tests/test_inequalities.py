@@ -2,8 +2,8 @@ import pytest
 
 from boundgen import ballsearch
 from boundgen.ballsearch import (
+    ClassProduct,
     FiniteGroupTable,
-    ball_bfs,
     class_table,
     delta_exhaustive,
     enumerate_group,
@@ -123,7 +123,7 @@ def test_ball_multiplicativity_of_a_non_generating_set(monkeypatch):
     # the 3-cycle E_12(1) E_21(1) of S_3 = SL(2,F2) reaches A_3 only, growth
     # [1, 3]: one ball per level, 4 elements in all, and no ball past level 1
     s3 = enumerate_group(F2, 2)
-    rpt = ball_bfs(s3, [elementary(1, 2, 1, 2, F2) * elementary(2, 1, 1, 2, F2)])
+    rpt = ClassProduct(F2, [s3.classes]).ball([elementary(1, 2, 1, 2, F2) * elementary(2, 1, 1, 2, F2)])
     assert rpt.growth == [1, 3]
     built = []
     matrix_at = FiniteGroupTable.matrix_at
